@@ -37,16 +37,18 @@ inline std::string JsonEscape(const std::string& s) {
 }
 
 /// Emits one result line. `params` must be a rendered JSON object (use
-/// "{}" when there is nothing to record). `rows_per_sec <= 0` drops the
-/// field.
+/// "{}" when there is nothing to record). `rate <= 0` drops the
+/// throughput field, which is named `rate_field` (rows_per_sec unless the
+/// throughput is not per row, e.g. "mb_per_sec").
 inline void EmitBenchJsonLine(const std::string& name,
                               const std::string& params, double ns_per_op,
-                              double rows_per_sec = 0.0) {
-  if (rows_per_sec > 0.0) {
+                              double rate = 0.0,
+                              const char* rate_field = "rows_per_sec") {
+  if (rate > 0.0) {
     std::printf(
         "{\"bench\":\"%s\",\"params\":%s,\"ns_per_op\":%.1f,"
-        "\"rows_per_sec\":%.1f}\n",
-        JsonEscape(name).c_str(), params.c_str(), ns_per_op, rows_per_sec);
+        "\"%s\":%.1f}\n",
+        JsonEscape(name).c_str(), params.c_str(), ns_per_op, rate_field, rate);
   } else {
     std::printf("{\"bench\":\"%s\",\"params\":%s,\"ns_per_op\":%.1f}\n",
                 JsonEscape(name).c_str(), params.c_str(), ns_per_op);

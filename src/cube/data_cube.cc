@@ -39,10 +39,16 @@ Result<std::shared_ptr<const DataCube>> DataCube::Build(
       cube->dict_indexes_.emplace(c, std::move(index));
       continue;
     }
+    // Cells are read from the typed storage one at a time: going through
+    // t.at() would leave a decoded Value copy of the whole column on the
+    // table, uncharged and resident for as long as the table is cached.
     std::unordered_map<Value, std::vector<uint32_t>, ValueHash> index;
+    const bool generic = col.encoding() == ColumnEncoding::kGeneric;
     bool too_wide = false;
     for (size_t r = 0; r < t.num_rows(); ++r) {
-      index[t.at(r, c)].push_back(static_cast<uint32_t>(r));
+      std::vector<uint32_t>& rows =
+          generic ? index[col.generic()[r]] : index[col.GetValue(r)];
+      rows.push_back(static_cast<uint32_t>(r));
       if (index.size() > max_index_cardinality) {
         too_wide = true;
         break;
@@ -126,6 +132,11 @@ Result<std::shared_ptr<const DataCube>> DataCube::Append(
       // index before the append and can only have grown.
       continue;
     }
+    // Unlike Build, this scan keeps t.at(): the grown table is the one
+    // the next readers query, and their generic-path operators decode its
+    // columns anyway. Decoding here once keeps that cost off the readers
+    // (reading cells through GetValue made appends faster but moved the
+    // full-column decode onto the first reader after every append).
     bool too_wide = false;
     for (size_t r = scan_from; r < t.num_rows(); ++r) {
       index[t.at(r, c)].push_back(static_cast<uint32_t>(r));

@@ -224,12 +224,13 @@ class JsonFormat : public Format {
     std::vector<JsonValue> records;
     if (!records_path.empty()) {
       SI_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(payload));
-      const JsonValue* array = doc.ResolvePath(records_path);
+      JsonValue* array = doc.ResolvePath(records_path);
       if (array == nullptr || !array->is_array()) {
         return Status::ParseError("records_path '" + records_path +
                                   "' does not resolve to an array");
       }
-      records = array->array_items();
+      // `doc` is ours and dies here: move the records out, not copy them.
+      records = std::move(array->array_items());
     } else {
       SI_ASSIGN_OR_RETURN(records, ParseJsonRecords(payload));
     }

@@ -17,8 +17,9 @@ struct CsvOptions {
   /// When true the first row is a header naming columns; a declared
   /// schema, if also present, must match by name (order may differ).
   bool has_header = true;
-  /// Infer int64/double/bool column types after reading (on by default;
-  /// the engine's tasks want typed numeric columns).
+  /// Infer int64/double/bool column types while reading (on by default;
+  /// the engine's tasks want typed numeric columns). Off, every column is
+  /// text and keeps the declared field types.
   bool infer_types = true;
   /// What to do with malformed rows. Under kFail (the default) parsing
   /// keeps its legacy lenient shape: short rows are null-padded and
@@ -39,6 +40,14 @@ struct CsvOptions {
 /// `report`, when non-null, collects rows rejected under the skip/
 /// quarantine error policies (the `raw` field is reassembled from the
 /// parsed fields).
+///
+/// The parse is one pass: fields are views into the payload (only quoted
+/// fields are unescaped into a scratch buffer), and each column is typed
+/// straight into ColumnData arrays. Empty fields are nulls; the other
+/// cells follow Value::Infer, and a column is int64 when every cell is,
+/// double when cells mix int64 and double, bool when every cell is, and
+/// otherwise keeps the original text (see docs/ARCHITECTURE.md,
+/// "Ingestion").
 Result<TablePtr> ReadCsvString(const std::string& payload,
                                const CsvOptions& options,
                                const std::optional<Schema>& declared,
@@ -50,7 +59,8 @@ Result<TablePtr> ReadCsvFile(const std::string& path,
                              const std::optional<Schema>& declared);
 
 /// Serializes a table to CSV with a header row, quoting fields that
-/// contain the separator, quotes, or newlines.
+/// contain the separator, quotes, '\n' or '\r' (the reader drops a bare
+/// '\r', so an unquoted one would not survive a round trip).
 std::string WriteCsvString(const Table& table, char separator = ',');
 
 /// Writes WriteCsvString output to a file.

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -93,6 +94,10 @@ const JsonValue* JsonValue::ResolvePath(const std::string& path) const {
     }
   }
   return node;
+}
+
+JsonValue* JsonValue::ResolvePath(const std::string& path) {
+  return const_cast<JsonValue*>(std::as_const(*this).ResolvePath(path));
 }
 
 Value JsonValue::ToTableValue() const {

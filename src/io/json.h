@@ -53,6 +53,7 @@ class JsonValue {
   /// Resolves a dot-separated path like "user.location" or "items.0.id".
   /// Returns nullptr when any step is missing.
   const JsonValue* ResolvePath(const std::string& path) const;
+  JsonValue* ResolvePath(const std::string& path);
 
   /// Scalar engine Value view of this node: null/bool/number/string map
   /// directly; arrays and objects serialize to their JSON text.

@@ -193,6 +193,20 @@ ColumnData ColumnData::Encode(std::vector<Value> values, bool force_generic) {
   return col;
 }
 
+ColumnData ColumnData::FromArrays(ColumnEncoding encoding, size_t rows,
+                                  Arrays arrays) {
+  ColumnData col;
+  col.encoding_ = encoding;
+  col.size_ = rows;
+  col.nulls_ = std::move(arrays.nulls);
+  col.ints_ = std::move(arrays.ints);
+  col.doubles_ = std::move(arrays.doubles);
+  col.bools_ = std::move(arrays.bools);
+  col.codes_ = std::move(arrays.codes);
+  col.dict_ = std::move(arrays.dict);
+  return col;
+}
+
 ColumnData ColumnData::AllocateLike(const ColumnData& like, size_t rows,
                                     bool force_nulls) {
   ColumnData col;

@@ -77,6 +77,27 @@ class ColumnData {
   static ColumnData Encode(std::vector<Value> values,
                            bool force_generic = false);
 
+  /// Payload arrays of a column a reader has already typed. Only the
+  /// arrays of the chosen encoding may be non-empty: `ints`, `doubles`,
+  /// `bools`, or `codes` with `dict`. `nulls` is empty (no nulls) or one
+  /// byte per row.
+  struct Arrays {
+    std::vector<uint8_t> nulls;
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;
+    std::vector<uint8_t> bools;
+    std::vector<uint32_t> codes;
+    DictionaryPtr dict;
+  };
+
+  /// Adopts typed arrays without building a Value per cell (the CSV
+  /// reader's output path). `encoding` must not be kGeneric. The column
+  /// equals what Encode() builds from the same cells when the caller
+  /// keeps Encode's layout: payload 0 at null rows, a null map only when
+  /// some row is null, and a sorted, interned dictionary.
+  static ColumnData FromArrays(ColumnEncoding encoding, size_t rows,
+                               Arrays arrays);
+
   /// An empty column shaped like `like` (same encoding, shared
   /// dictionary) with room for `rows` rows, ready for GatherFrom fills.
   /// `force_nulls` adds a null map even when `like` has none — required

@@ -92,7 +92,11 @@ TablePtr Table::Empty(Schema schema) {
 const std::vector<Value>& Table::column(size_t i) const {
   const ColumnData& typed = typed_[i];
   if (typed.encoding() == ColumnEncoding::kGeneric) return typed.generic();
-  std::call_once(view_once_[i], [&] { view_[i] = typed.Decode(); });
+  std::call_once(view_once_[i], [&] {
+    view_[i] = typed.Decode();
+    decoded_view_bytes_.fetch_add(view_[i].size() * sizeof(Value),
+                                  std::memory_order_relaxed);
+  });
   return view_[i];
 }
 
@@ -190,65 +194,6 @@ void TableBuilder::AppendRowFrom(const Table& source, size_t src_row) {
 
 Result<TablePtr> TableBuilder::Finish() {
   return Table::Create(std::move(schema_), std::move(columns_));
-}
-
-Result<TablePtr> InferColumnTypes(const TablePtr& table) {
-  std::vector<Field> fields;
-  std::vector<std::vector<Value>> columns;
-  fields.reserve(table->num_columns());
-  columns.reserve(table->num_columns());
-  for (size_t c = 0; c < table->num_columns(); ++c) {
-    const auto& col = table->column(c);
-    bool all_int = true;
-    bool all_numeric = true;
-    bool all_bool = true;
-    bool any_value = false;
-    std::vector<Value> parsed;
-    parsed.reserve(col.size());
-    for (const Value& v : col) {
-      if (v.is_null()) {
-        parsed.push_back(v);
-        continue;
-      }
-      any_value = true;
-      Value inferred = v.is_string() ? Value::Infer(v.string_value()) : v;
-      switch (inferred.type()) {
-        case ValueType::kInt64:
-          all_bool = false;
-          break;
-        case ValueType::kDouble:
-          all_int = false;
-          all_bool = false;
-          break;
-        case ValueType::kBool:
-          all_int = false;
-          all_numeric = false;
-          break;
-        default:
-          all_int = all_numeric = all_bool = false;
-      }
-      parsed.push_back(std::move(inferred));
-    }
-    ValueType type = ValueType::kString;
-    if (any_value) {
-      if (all_int) {
-        type = ValueType::kInt64;
-      } else if (all_numeric) {
-        type = ValueType::kDouble;
-        for (Value& v : parsed) {
-          if (v.is_int64()) v = Value(static_cast<double>(v.int64_value()));
-        }
-      } else if (all_bool) {
-        type = ValueType::kBool;
-      } else {
-        // Mixed content: keep the original string cells untouched.
-        parsed = col;
-      }
-    }
-    fields.push_back(Field{table->schema().field(c).name, type});
-    columns.push_back(std::move(parsed));
-  }
-  return Table::Create(Schema(std::move(fields)), std::move(columns));
 }
 
 }  // namespace shareinsights

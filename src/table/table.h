@@ -1,6 +1,7 @@
 #ifndef SHAREINSIGHTS_TABLE_TABLE_H_
 #define SHAREINSIGHTS_TABLE_TABLE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -92,6 +93,14 @@ class Table {
   /// table.
   size_t ApproxBytes() const;
 
+  /// sizeof(Value) times the cells of the decoded Value views that
+  /// column()/at() have built so far (string payloads not counted). The
+  /// views are uncharged by ApproxBytes and resident for the table's
+  /// lifetime, so paths over cached tables (cube builds) keep this at 0.
+  size_t decoded_view_bytes() const {
+    return decoded_view_bytes_.load(std::memory_order_relaxed);
+  }
+
   /// Renders up to `max_rows` rows as an aligned ASCII table (the data
   /// explorer's tabular view).
   std::string ToDisplayString(size_t max_rows = 20) const;
@@ -108,6 +117,7 @@ class Table {
   // the one-time decode of view_[i]; kGeneric columns bypass the cache.
   mutable std::vector<std::vector<Value>> view_;
   mutable std::unique_ptr<std::once_flag[]> view_once_;
+  mutable std::atomic<size_t> decoded_view_bytes_{0};
 };
 
 /// Row-at-a-time builder used by readers, generators, and operators.
@@ -138,11 +148,6 @@ class TableBuilder {
   std::vector<std::vector<Value>> columns_;
   size_t num_rows_ = 0;
 };
-
-/// Infers per-column types from the data (all-int64 column => kInt64,
-/// numeric mix => kDouble, etc.) and returns a table whose string cells
-/// are parsed accordingly. Readers call this after loading raw text.
-Result<TablePtr> InferColumnTypes(const TablePtr& table);
 
 }  // namespace shareinsights
 

@@ -103,6 +103,51 @@ TEST(DataCubeTest, RangeFilterExcludesNulls) {
   EXPECT_EQ((*out)->num_rows(), 1u);
 }
 
+// A cube over a cached table must not leave decoded Value copies of whole
+// columns behind: they are resident for the table's lifetime and charged
+// nowhere.
+TEST(DataCubeTest, BuildLeavesNoDecodedColumnView) {
+  constexpr size_t kRows = 1000;
+  ColumnData::Arrays ids, amounts, nullable;
+  nullable.nulls.assign(kRows, 0);
+  for (size_t r = 0; r < kRows; ++r) {
+    ids.ints.push_back(static_cast<int64_t>(r % 7));
+    amounts.ints.push_back(static_cast<int64_t>(r * 3));  // too wide
+    nullable.ints.push_back(r % 5 == 0 ? 0 : static_cast<int64_t>(r % 3));
+    nullable.nulls[r] = r % 5 == 0 ? 1 : 0;
+  }
+  std::vector<ColumnData> columns;
+  for (ColumnData::Arrays* arrays : {&ids, &amounts, &nullable}) {
+    columns.push_back(ColumnData::FromArrays(ColumnEncoding::kInt64, kRows,
+                                             std::move(*arrays)));
+  }
+  TablePtr table =
+      *Table::FromColumnData(Schema({Field{"id", ValueType::kInt64},
+                                     Field{"amount", ValueType::kInt64},
+                                     Field{"n", ValueType::kInt64}}),
+                             std::move(columns));
+  ASSERT_EQ(table->typed_column(0).encoding(), ColumnEncoding::kInt64);
+  auto cube = DataCube::Build(table, /*max_index_cardinality=*/16);
+  ASSERT_TRUE(cube.ok()) << cube.status();
+  EXPECT_EQ(table->decoded_view_bytes(), 0u);
+
+  // The indexes still answer like the operator path.
+  DataCube::Query query;
+  query.filters.push_back({"id", {Value(static_cast<int64_t>(3))}, false});
+  query.filters.push_back({"n", {Value::Null()}, false});
+  auto out = (*cube)->Execute(query);
+  ASSERT_TRUE(out.ok()) << out.status();
+  size_t expected = 0;
+  for (size_t r = 0; r < kRows; ++r) {
+    if (r % 7 == 3 && r % 5 == 0) ++expected;
+  }
+  EXPECT_EQ((*out)->num_rows(), expected);
+
+  // The observer does see a decode.
+  (void)table->at(0, 1);
+  EXPECT_EQ(table->decoded_view_bytes(), kRows * sizeof(Value));
+}
+
 // Property: cube answers match direct operator execution exactly.
 class CubeEquivalenceProperty
     : public ::testing::TestWithParam<std::tuple<int, int>> {};

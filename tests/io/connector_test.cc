@@ -1,9 +1,11 @@
 #include "io/connector.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "common/fault.h"
@@ -40,6 +42,38 @@ TEST_F(ConnectorTest, FileConnectorWithBaseDir) {
   auto table = LoadDataObject(params, std::nullopt, {});
   ASSERT_TRUE(table.ok()) << table.status();
   EXPECT_EQ((*table)->at(0, 0), Value(static_cast<int64_t>(5)));
+}
+
+TEST_F(ConnectorTest, FileSourceThatIsADirectoryIsAnIoError) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "si_conn_dir_test").string();
+  std::filesystem::create_directories(dir + "/sub");
+  DataSourceParams params;
+  params.Set("source", "sub");
+  params.Set("base_dir", dir);
+  auto table = LoadDataObject(params, std::nullopt, {});
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kIoError);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ConnectorTest, FileSourceReadsPastAZeroReportedSize) {
+  // A FIFO reports no size; its content must still be read in full.
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "si_conn_fifo_test").string();
+  std::filesystem::create_directories(dir);
+  std::string fifo = dir + "/feed.csv";
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(fifo, std::ios::binary);
+    out << "a\n8\n9\n";
+  });
+  auto text = ReadFileToString(fifo);
+  writer.join();
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_EQ(*text, "a\n8\n9\n");
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ConnectorTest, HttpConnectorFromSimulatedStore) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 namespace shareinsights {
@@ -144,6 +145,61 @@ TEST(CsvTest, EmptyPayloadWithDeclaredSchema) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->num_rows(), 0u);
   EXPECT_EQ((*table)->num_columns(), 2u);
+}
+
+TEST(CsvTest, WriteReadRoundTripsSpecialCharacters) {
+  const std::vector<std::string> cells = {
+      "sep,arated", "say \"hi\"", "line\nbreak", "carriage\rreturn",
+      "trailing\r", "\rleading", "crlf\r\ninside", "all,\"\n\r"};
+  for (char sep : {',', '\t'}) {
+    TableBuilder builder(Schema::FromNames({"s", "t"}));
+    for (const std::string& cell : cells) {
+      std::string other = cell;
+      std::replace(other.begin(), other.end(), ',', '\t');
+      (void)builder.AppendRow({Value(cell), Value(other)});
+    }
+    TablePtr original = *builder.Finish();
+    CsvOptions options;
+    options.separator = sep;
+    auto reread =
+        ReadCsvString(WriteCsvString(*original, sep), options, std::nullopt);
+    ASSERT_TRUE(reread.ok()) << reread.status();
+    ASSERT_EQ((*reread)->num_rows(), cells.size());
+    for (size_t r = 0; r < cells.size(); ++r) {
+      EXPECT_EQ((*reread)->at(r, 0), original->at(r, 0)) << r;
+      EXPECT_EQ((*reread)->at(r, 1), original->at(r, 1)) << r;
+    }
+  }
+}
+
+TEST(CsvTest, InfersIntDoubleAndMixedColumns) {
+  auto table =
+      ReadCsvString("n,mixed,f\n1,2,1.5\n2,x,3\n", CsvOptions{}, std::nullopt);
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ((*table)->schema().field(0).type, ValueType::kInt64);
+  EXPECT_EQ((*table)->schema().field(1).type, ValueType::kString);
+  // Numeric mix of int and double promotes to double.
+  EXPECT_EQ((*table)->schema().field(2).type, ValueType::kDouble);
+  EXPECT_EQ((*table)->at(0, 0), Value(static_cast<int64_t>(1)));
+  EXPECT_EQ((*table)->at(0, 1), Value("2"));
+  EXPECT_EQ((*table)->at(1, 2), Value(3.0));
+}
+
+TEST(CsvTest, InferenceKeepsNulls) {
+  // A quoted empty field keeps the row (a blank line would be skipped).
+  auto table = ReadCsvString("n\n\"\"\n7\n", CsvOptions{}, std::nullopt);
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_EQ((*table)->num_rows(), 2u);
+  EXPECT_TRUE((*table)->at(0, 0).is_null());
+  EXPECT_EQ((*table)->schema().field(0).type, ValueType::kInt64);
+}
+
+TEST(CsvTest, AllNullColumnIsStringField) {
+  auto table = ReadCsvString("n\n\"\"\n", CsvOptions{}, std::nullopt);
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_EQ((*table)->num_rows(), 1u);
+  EXPECT_EQ((*table)->schema().field(0).type, ValueType::kString);
+  EXPECT_TRUE((*table)->at(0, 0).is_null());
 }
 
 }  // namespace

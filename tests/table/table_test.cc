@@ -143,37 +143,5 @@ TEST(TableTest, ApproxBytesChargesDictionaryEncoding) {
   EXPECT_EQ(table->ApproxBytes(), encoded);
 }
 
-TEST(TableTest, InferColumnTypesIntColumn) {
-  TableBuilder builder(Schema::FromNames({"n", "mixed", "f"}));
-  (void)builder.AppendRow({Value("1"), Value("2"), Value("1.5")});
-  (void)builder.AppendRow({Value("2"), Value("x"), Value("3")});
-  auto typed = InferColumnTypes(*builder.Finish());
-  ASSERT_TRUE(typed.ok());
-  EXPECT_EQ((*typed)->schema().field(0).type, ValueType::kInt64);
-  EXPECT_EQ((*typed)->schema().field(1).type, ValueType::kString);
-  // Numeric mix of int and double promotes to double.
-  EXPECT_EQ((*typed)->schema().field(2).type, ValueType::kDouble);
-  EXPECT_EQ((*typed)->at(0, 0), Value(static_cast<int64_t>(1)));
-  EXPECT_EQ((*typed)->at(1, 2), Value(3.0));
-}
-
-TEST(TableTest, InferColumnTypesKeepsNulls) {
-  TableBuilder builder(Schema::FromNames({"n"}));
-  (void)builder.AppendRow({Value::Null()});
-  (void)builder.AppendRow({Value("7")});
-  auto typed = InferColumnTypes(*builder.Finish());
-  ASSERT_TRUE(typed.ok());
-  EXPECT_TRUE((*typed)->at(0, 0).is_null());
-  EXPECT_EQ((*typed)->schema().field(0).type, ValueType::kInt64);
-}
-
-TEST(TableTest, InferColumnTypesAllNullStaysString) {
-  TableBuilder builder(Schema::FromNames({"n"}));
-  (void)builder.AppendRow({Value::Null()});
-  auto typed = InferColumnTypes(*builder.Finish());
-  ASSERT_TRUE(typed.ok());
-  EXPECT_EQ((*typed)->schema().field(0).type, ValueType::kString);
-}
-
 }  // namespace
 }  // namespace shareinsights
