@@ -9,6 +9,16 @@
 
 namespace shareinsights {
 
+/// 64-bit digest of a byte string, a word at a time: four independent
+/// multiply-rotate lanes over 32-byte stripes, then the lanes, the 8-byte
+/// tail words and a zero-padded last word fold into one chain, and the
+/// length is mixed in at both ends. Every step is a bijection of the
+/// running state and of the word it takes in, so two inputs of the same
+/// length that differ in one word always get different digests. Meant
+/// for payloads (megabytes per call), where it runs several times faster
+/// than the byte-wise FNV Fingerprinter; not a cryptographic hash.
+uint64_t FingerprintBytes(std::string_view bytes);
+
 /// Incremental FNV-1a (64-bit) over length-prefixed, type-tagged fields.
 /// The digest is a pure function of the Add() sequence — independent of
 /// process, pointer values, or iteration order of the caller's inputs —

@@ -22,6 +22,21 @@ namespace shareinsights {
 void DataStore::Put(const std::string& name, TablePtr table) {
   std::lock_guard<std::mutex> lock(mu_);
   tables_[name] = std::move(table);
+  source_digests_.erase(name);
+}
+
+void DataStore::PutSource(const std::string& name, TablePtr table,
+                          uint64_t digest) {
+  std::lock_guard<std::mutex> lock(mu_);
+  tables_[name] = std::move(table);
+  source_digests_[name] = digest;
+}
+
+PreviousLoad DataStore::LastLoad(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto digest = source_digests_.find(name);
+  if (digest == source_digests_.end()) return {};
+  return PreviousLoad{digest->second, tables_.at(name)};
 }
 
 Result<TablePtr> DataStore::Get(const std::string& name) const {
@@ -42,11 +57,13 @@ bool DataStore::Has(const std::string& name) const {
 void DataStore::Erase(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   tables_.erase(name);
+  source_digests_.erase(name);
 }
 
 void DataStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   tables_.clear();
+  source_digests_.clear();
 }
 
 std::vector<std::string> DataStore::Names() const {
@@ -58,7 +75,9 @@ std::vector<std::string> DataStore::Names() const {
 
 std::string ExecutionStats::ToString() const {
   std::ostringstream out;
-  out << "sources=" << sources_loaded << " flows=" << flows_executed
+  out << "sources=" << sources_loaded;
+  if (sources_reused > 0) out << " reused=" << sources_reused;
+  out << " flows=" << flows_executed
       << " skipped=" << flows_skipped << " rows=" << rows_produced;
   if (flows_cached > 0) out << " cached=" << flows_cached;
   out << " endpoint_bytes=" << endpoint_bytes << " wall_ms=" << wall_ms;
@@ -180,10 +199,11 @@ Result<ExecutionStats> Executor::Run(const ExecutionPlan& plan,
       }
       std::optional<Schema> declared;
       if (!decl.columns.empty()) declared = decl.DeclaredSchema();
+      PreviousLoad previous = store->LastLoad(name);
       LoadReport report;
-      Result<TablePtr> table =
-          LoadDataObject(params, declared, decl.columns, options_.connectors,
-                         options_.formats, tracer, source_span.id(), &report);
+      Result<TablePtr> table = LoadDataObject(
+          params, declared, decl.columns, options_.connectors,
+          options_.formats, tracer, source_span.id(), &report, &previous);
       stats.io_retries += report.attempts - 1;
       if (report.attempts > 1) {
         source_span.AddAttribute("attempts",
@@ -200,6 +220,7 @@ Result<ExecutionStats> Executor::Run(const ExecutionPlan& plan,
                               ? schema_it->second
                               : decl.DeclaredSchema();
           store->Put(name, Table::Empty(std::move(schema)));
+          store->Erase(name + kQuarantineSuffix);
           ++stats.sources_degraded;
           source_span.AddAttribute("degraded", "true");
           source_span.AddAttribute("error", table.status().ToString());
@@ -213,14 +234,24 @@ Result<ExecutionStats> Executor::Run(const ExecutionPlan& plan,
         }
         return table.status().WithContext("loading source '" + name + "'");
       }
+      source_span.AddAttribute("rows",
+                               static_cast<int64_t>((*table)->num_rows()));
       if (report.rows_quarantined > 0) {
+        // Not remembered for reuse: a kept table would need its side
+        // table kept in step.
         stats.rows_quarantined += report.rows_quarantined;
         source_span.AddAttribute("rows_quarantined", report.rows_quarantined);
         store->Put(name + kQuarantineSuffix, report.quarantine);
+        store->Put(name, std::move(*table));
+      } else {
+        // A clean load leaves no side table from an earlier payload.
+        store->Erase(name + kQuarantineSuffix);
+        store->PutSource(name, std::move(*table), report.digest);
       }
-      source_span.AddAttribute("rows",
-                               static_cast<int64_t>((*table)->num_rows()));
-      store->Put(name, std::move(*table));
+      if (report.reused) {
+        source_span.AddAttribute("reused", "true");
+        ++stats.sources_reused;
+      }
       ++stats.sources_loaded;
     }
   }

@@ -31,9 +31,21 @@ class DataStore {
   void Clear();
   std::vector<std::string> Names() const;
 
+  /// Put for a source table parsed (or kept) from a payload whose
+  /// LoadReport::digest is `digest`, remembered for the next load.
+  void PutSource(const std::string& name, TablePtr table, uint64_t digest);
+  /// The digest and table of `name`'s last PutSource while that exact
+  /// table is still stored: a later Put, Erase or Clear of `name` (an
+  /// append, a restore, a degraded or quarantining load) forgets it.
+  /// Empty when there is none.
+  PreviousLoad LastLoad(const std::string& name) const;
+
  private:
   mutable std::mutex mu_;
   std::map<std::string, TablePtr> tables_;
+  /// Digest behind tables_[name] for names whose last write was
+  /// PutSource; the table itself is only ever held by tables_.
+  std::map<std::string, uint64_t> source_digests_;
 };
 
 /// Supplies materialized tables for shared data objects published by
@@ -59,6 +71,10 @@ struct FlowTiming {
 /// /api/v1 metrics.
 struct ExecutionStats {
   int sources_loaded = 0;
+  /// Of sources_loaded, those whose fetched bytes and parse inputs
+  /// matched the previous load and kept its table unparsed (same
+  /// version, so the flows over them hit the result cache).
+  int sources_reused = 0;
   int flows_executed = 0;
   int flows_skipped = 0;  // clean in an incremental run
   /// Flows answered by the shared result cache (plan fingerprint +
@@ -250,7 +266,10 @@ class Executor {
  public:
   explicit Executor(ExecuteOptions options = {});
 
-  /// Full run: (re)loads every source and executes every flow.
+  /// Full run: (re)loads every source and executes every flow. A source
+  /// whose fetched bytes and parse inputs did not change since the table
+  /// the store holds for it keeps that table (LoadDataObject's
+  /// `previous`).
   Result<ExecutionStats> Execute(const ExecutionPlan& plan, DataStore* store);
 
   /// Incremental run: `dirty` names the data objects whose content or

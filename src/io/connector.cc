@@ -1,9 +1,11 @@
 #include "io/connector.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
 #include "common/fault.h"
+#include "common/fingerprint.h"
 #include "common/string_util.h"
 #include "gov/memory_budget.h"
 #include "io/circuit_breaker.h"
@@ -411,6 +413,36 @@ double NumericParam(const DataSourceParams& params, const std::string& key,
   return parsed.ok() ? *parsed : fallback;
 }
 
+/// LoadReport::digest. The payload goes through the word-at-a-time
+/// FingerprintBytes; the short parse inputs through the field-wise
+/// Fingerprinter, counts first so no field can shift into its neighbour.
+uint64_t SourceDigest(const std::string& payload,
+                      const DataSourceParams& params,
+                      const std::string& format_name,
+                      const std::optional<Schema>& declared,
+                      const std::vector<ColumnMapping>& mappings) {
+  Fingerprinter fp;
+  fp.Add(FingerprintBytes(payload)).Add(static_cast<uint64_t>(payload.size()));
+  fp.Add(static_cast<uint64_t>(params.all().size()));
+  for (const auto& [key, value] : params.all()) {
+    // Values hash word-at-a-time too: an inline source's `data` is its
+    // whole payload.
+    fp.Add(key).Add(FingerprintBytes(value)).Add(
+        static_cast<uint64_t>(value.size()));
+  }
+  fp.Add(format_name);
+  fp.Add(static_cast<uint64_t>(declared.has_value()));
+  if (declared.has_value()) {
+    fp.Add(static_cast<uint64_t>(declared->num_fields()));
+    for (const Field& field : declared->fields()) {
+      fp.Add(field.name).Add(static_cast<uint64_t>(field.type));
+    }
+  }
+  fp.Add(static_cast<uint64_t>(mappings.size()));
+  for (const ColumnMapping& m : mappings) fp.Add(m.column).Add(m.path);
+  return fp.Digest();
+}
+
 }  // namespace
 
 RetryPolicy RetryPolicyFromParams(const DataSourceParams& params) {
@@ -433,7 +465,8 @@ Result<TablePtr> LoadDataObject(const DataSourceParams& params,
                                 const std::vector<ColumnMapping>& mappings,
                                 ConnectorRegistry* connectors,
                                 FormatRegistry* formats, Tracer* tracer,
-                                SpanId trace_parent, LoadReport* report) {
+                                SpanId trace_parent, LoadReport* report,
+                                const PreviousLoad* previous) {
   if (connectors == nullptr) connectors = &ConnectorRegistry::Default();
   if (formats == nullptr) formats = &FormatRegistry::Default();
   MetricsRegistry& metrics = MetricsRegistry::Default();
@@ -518,6 +551,25 @@ Result<TablePtr> LoadDataObject(const DataSourceParams& params,
         faults_counter->Increment();
         error = *injected;
       } else {
+        uint64_t digest =
+            SourceDigest(payload, params, format_name, declared, mappings);
+        if (report != nullptr) report->digest = digest;
+        bool reuse = previous != nullptr && previous->table != nullptr &&
+                     previous->digest == digest;
+        parse_span.AddAttribute("reused", reuse ? "true" : "false");
+        if (reuse) {
+          // Same bytes, same parse inputs: the resident table is what a
+          // parse would build, and it is already charged for.
+          parse_span.AddAttribute(
+              "rows", static_cast<int64_t>(previous->table->num_rows()));
+          if (report != nullptr) report->reused = true;
+          metrics
+              .GetCounter("io_sources_reused_total",
+                          "source loads that kept the stored table because "
+                          "the fetched bytes and parse inputs were unchanged")
+              ->Increment();
+          return previous->table;
+        }
         ParseReport parse_report;
         Result<TablePtr> table =
             format->Parse(payload, params, declared, mappings, &parse_report);
@@ -597,6 +649,62 @@ Result<TablePtr> LoadDataObject(const DataSourceParams& params,
   }
 }
 
+namespace {
+
+/// Brings a freshly parsed append batch to the base schema. Readers type
+/// each column from the batch's own cells, so a batch of whole numbers
+/// for a double column comes back int64, and a column without values
+/// comes back as an all-null string field. Both are coerced without
+/// changing a value; any other mismatch is a SchemaError naming the
+/// column.
+Result<TablePtr> CoerceToBaseSchema(const TablePtr& batch, const Schema& base,
+                                    const std::string& source) {
+  if (batch->schema() == base) return batch;
+  auto mismatch = [&](const std::string& what) {
+    return Status::SchemaError("append batch for source '" + source + "' " +
+                               what);
+  };
+  if (batch->num_columns() != base.num_fields()) {
+    return mismatch("has " + std::to_string(batch->num_columns()) +
+                    " columns, the base object " +
+                    std::to_string(base.num_fields()));
+  }
+  std::vector<ColumnData> columns;
+  columns.reserve(base.num_fields());
+  for (size_t c = 0; c < base.num_fields(); ++c) {
+    const Field& want = base.field(c);
+    const Field& got = batch->schema().field(c);
+    const ColumnData& column = batch->typed_column(c);
+    if (got.name != want.name) {
+      return mismatch("has column '" + got.name + "' where the base has '" +
+                      want.name + "'");
+    }
+    size_t nulls = std::count_if(column.nulls().begin(), column.nulls().end(),
+                                 [](uint8_t null) { return null != 0; });
+    bool no_values = nulls == column.size();
+    if (got.type == want.type || no_values) {
+      // An all-null column keeps Encode's layout; ConcatTables adopts the
+      // base's encoding for it.
+      columns.push_back(column);
+    } else if (got.type == ValueType::kInt64 &&
+               want.type == ValueType::kDouble &&
+               column.encoding() == ColumnEncoding::kInt64) {
+      ColumnData::Arrays arrays;
+      arrays.nulls = column.nulls();
+      arrays.doubles.assign(column.ints().begin(), column.ints().end());
+      columns.push_back(ColumnData::FromArrays(
+          ColumnEncoding::kDouble, column.size(), std::move(arrays)));
+    } else {
+      return mismatch("column '" + want.name + "' parsed as " +
+                      ValueTypeName(got.type) + ", but the base column is " +
+                      ValueTypeName(want.type));
+    }
+  }
+  return Table::FromColumnData(base, std::move(columns));
+}
+
+}  // namespace
+
 Result<TablePtr> LoadAppendBatch(const DataSourceParams& params,
                                  const TablePtr& base,
                                  const std::vector<ColumnMapping>& mappings,
@@ -615,11 +723,8 @@ Result<TablePtr> LoadAppendBatch(const DataSourceParams& params,
       TablePtr batch,
       LoadDataObject(params, base->schema(), mappings, connectors, formats,
                      tracer, trace_parent, report));
-  if (!(batch->schema() == base->schema())) {
-    return Status::SchemaError(
-        "append batch for source '" + params.Get("source") +
-        "' parsed to a different schema than the base object");
-  }
+  SI_ASSIGN_OR_RETURN(
+      batch, CoerceToBaseSchema(batch, base->schema(), params.Get("source")));
   MetricsRegistry::Default()
       .GetCounter("io_append_batches_total",
                   "typed append batches ingested for streaming appends")

@@ -183,6 +183,22 @@ struct LoadReport {
   /// Side table of quarantined rows (null unless policy is quarantine
   /// and at least one row was rejected).
   TablePtr quarantine;
+  /// Digest of what the table was built from: the payload bytes and
+  /// length, every DataSourceParams entry, the format name, the declared
+  /// schema and the `=>` mappings. 0 when no payload got past the fetch.
+  uint64_t digest = 0;
+  /// True when `digest` matched the PreviousLoad handed in and its table
+  /// was returned without parsing.
+  bool reused = false;
+};
+
+/// What an earlier load of the same data object produced, while the
+/// store still holds exactly that table (DataStore::LastLoad). Same
+/// digest means same bytes and same parse inputs, so the table a parse
+/// would build is byte-identical to `table`.
+struct PreviousLoad {
+  uint64_t digest = 0;
+  TablePtr table;
 };
 
 /// End-to-end ingestion of one data object: resolve the connector from
@@ -201,6 +217,13 @@ struct LoadReport {
 ///   - the `io.fetch` / `io.parse` FaultInjector sites fire inside each
 ///     attempt (faults_injected_total).
 ///
+/// Unchanged sources: every fetched payload is digested (LoadReport::
+/// digest). When `previous` carries the same digest, its table is
+/// returned as is: no parse, no `source:load` charge, and the `io.parse`
+/// span says `reused=true` (io_sources_reused_total). The check runs
+/// after the `io.parse` fault site, so injected faults and retries fire
+/// at the same attempts whether or not a previous load exists.
+///
 /// When `tracer` is set, the fetch and parse steps are recorded as
 /// `io.fetch` / `io.parse` spans under `trace_parent` (the executor
 /// passes its per-source span), with protocol/bytes/format/rows/attempts
@@ -213,17 +236,21 @@ Result<TablePtr> LoadDataObject(const DataSourceParams& params,
                                 FormatRegistry* formats = nullptr,
                                 Tracer* tracer = nullptr,
                                 SpanId trace_parent = 0,
-                                LoadReport* report = nullptr);
+                                LoadReport* report = nullptr,
+                                const PreviousLoad* previous = nullptr);
 
 /// Streaming ingestion of one append batch for an already-loaded data
 /// object: same fetch/retry/fault-injection path as LoadDataObject, but
 /// the payload is parsed against `base`'s schema, so the batch comes out
 /// as typed columns — dictionary-encoded string columns intern through
 /// the same sorted-dictionary scheme as the base — instead of a
-/// re-inferred whole-table reload. The result is a delta table whose
-/// schema is byte-equal to `base->schema()`, ready for ConcatTables /
-/// Executor::ExecuteAppend; a payload that parses to a different schema
-/// is rejected with SchemaError rather than silently widening the base.
+/// re-inferred whole-table reload. Readers infer cell types from the
+/// batch itself, so batch columns are then coerced to the base types
+/// where no value changes: int64 widens to double, and a column with no
+/// values takes the base type. The result is a delta table whose schema
+/// is byte-equal to `base->schema()`, ready for ConcatTables /
+/// Executor::ExecuteAppend; any other type mismatch is rejected with a
+/// SchemaError naming the column rather than silently widening the base.
 /// Feeds io_append_batches_total on top of the usual io_* metrics.
 Result<TablePtr> LoadAppendBatch(const DataSourceParams& params,
                                  const TablePtr& base,

@@ -690,6 +690,7 @@ HttpResponse ApiServer::HandleDashboards(
     body.Set("flows_executed",
              JsonValue::MakeNumber(stats->flows_executed));
     body.Set("flows_cached", JsonValue::MakeNumber(stats->flows_cached));
+    body.Set("sources_reused", JsonValue::MakeNumber(stats->sources_reused));
     // hit: every flow answered from cache; partial: some; miss: none.
     const char* cache_state =
         stats->flows_cached == 0

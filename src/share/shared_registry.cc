@@ -72,6 +72,11 @@ Status SharedDataRegistry::Publish(const std::string& name, TablePtr table,
   {
     std::lock_guard<std::mutex> lock(mu_);
     Published& entry = entries_[name];
+    // Republishing the current table (a run whose sources were unchanged
+    // kept its outputs) changes nothing a subscriber could see.
+    if (entry.table != nullptr && entry.table->version() == event.version) {
+      return Status::OK();
+    }
     entry.table = std::move(table);
     entry.publisher = publisher;
     entry.changelog.push_back(event);

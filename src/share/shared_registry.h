@@ -65,7 +65,9 @@ class SharedDataRegistry : public SharedSchemaSource,
       std::function<void(const std::string& name, const ChangeEvent& event)>;
 
   /// Publishes (or republishes) a table under `name`. Records a
-  /// full-rewrite ChangeEvent and wakes subscribers/waiters.
+  /// full-rewrite ChangeEvent and wakes subscribers/waiters. Handed the
+  /// table already current under `name` (same version), it is a no-op:
+  /// no event, no wake-up, publisher unchanged.
   Status Publish(const std::string& name, TablePtr table,
                  const std::string& publisher);
 

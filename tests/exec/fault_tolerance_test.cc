@@ -291,6 +291,40 @@ T:
   EXPECT_EQ((*side)->at(1, 2), Value("b,2,extra"));
 }
 
+// The side table belongs to the payload that produced it: once the
+// source is fixed, a clean reload erases the previous run's
+// <name>__quarantine instead of leaving it beside the new table.
+TEST_F(FaultToleranceTest, CleanReloadErasesStaleQuarantineTable) {
+  ExecutionPlan plan = Compile(R"(
+D:
+  src: [key, value]
+D.src:
+  source: http://quarantine.test/src.csv
+  format: csv
+  error_policy: quarantine
+F:
+  D.out: D.src | T.keep
+T:
+  keep:
+    type: distinct
+)");
+  const std::string url = "http://quarantine.test/src.csv";
+  const std::string side = std::string("src") + kQuarantineSuffix;
+  SimulatedRemoteStore::Get().Publish(url, "key,value\na,1\nragged\nc,3\n");
+  DataStore store;
+  auto bad = Executor().Execute(plan, &store);
+  ASSERT_TRUE(bad.ok()) << bad.status();
+  EXPECT_EQ(bad->rows_quarantined, 1);
+  ASSERT_TRUE(store.Has(side));
+
+  SimulatedRemoteStore::Get().Publish(url, "key,value\na,1\nb,2\nc,3\n");
+  auto fixed = Executor().Execute(plan, &store);
+  ASSERT_TRUE(fixed.ok()) << fixed.status();
+  EXPECT_EQ(fixed->rows_quarantined, 0);
+  EXPECT_FALSE(store.Has(side));
+  EXPECT_EQ((*store.Get("src"))->num_rows(), 3u);
+}
+
 // ------------------------------------------------------------------
 // io.spill injection (ISSUE 8 satellite): spilling runs disturbed by
 // transient spill-file faults still produce outputs identical to the

@@ -486,6 +486,45 @@ TEST_F(ConnectorTest, ErrorPolicyRejectsUnknownValue) {
   EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Readers type a batch from its own cells: whole numbers for a double
+// column come back int64 and must widen to the base's double column, and
+// a column without values takes the base type.
+TEST_F(ConnectorTest, AppendBatchWidensIntegerCellsForADoubleColumn) {
+  auto base = ReadCsvString("name,price\na,1.5\nb,2.25\n", CsvOptions{},
+                            std::nullopt);
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_EQ((*base)->schema().field(1).type, ValueType::kDouble);
+
+  DataSourceParams params;
+  params.Set("data", "name,price\nc,3\nd,\ne,4\n");
+  auto batch = LoadAppendBatch(params, *base, {});
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ((*batch)->schema(), (*base)->schema());
+  EXPECT_EQ((*batch)->typed_column(1).encoding(), ColumnEncoding::kDouble);
+  EXPECT_EQ((*batch)->at(0, 1), Value(3.0));
+  EXPECT_TRUE((*batch)->at(1, 1).is_null());
+  EXPECT_EQ((*batch)->at(2, 1), Value(4.0));
+
+  params.Set("data", "name,price\nf,\n");
+  auto empty_prices = LoadAppendBatch(params, *base, {});
+  ASSERT_TRUE(empty_prices.ok()) << empty_prices.status();
+  EXPECT_EQ((*empty_prices)->schema(), (*base)->schema());
+  EXPECT_TRUE((*empty_prices)->at(0, 1).is_null());
+}
+
+TEST_F(ConnectorTest, AppendBatchWithIncompatibleColumnFailsByName) {
+  auto base = ReadCsvString("name,price\na,1.5\n", CsvOptions{},
+                            std::nullopt);
+  ASSERT_TRUE(base.ok()) << base.status();
+  DataSourceParams params;
+  params.Set("data", "name,price\nc,cheap\n");
+  auto batch = LoadAppendBatch(params, *base, {});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kSchemaError);
+  EXPECT_NE(batch.status().message().find("'price'"), std::string::npos)
+      << batch.status();
+}
+
 TEST_F(ConnectorTest, DefaultRegistryListsPlatformProtocols) {
   auto protocols = ConnectorRegistry::Default().Protocols();
   for (const char* expected :

@@ -11,17 +11,19 @@
 namespace shareinsights {
 namespace {
 
+constexpr const char* kItemsUrl = "http://shop.test/items.csv";
+constexpr const char* kItems =
+    "category,name,price\n"
+    "fruit,apple,3\n"
+    "fruit,pear,4\n"
+    "tool,hammer,12\n";
+
 constexpr const char* kFlow = R"(
 D:
   items: [category, name, price]
 D.items:
-  protocol: inline
+  source: http://shop.test/items.csv
   format: csv
-  data: "category,name,price
-fruit,apple,3
-fruit,pear,4
-tool,hammer,12
-"
 F:
   D.by_category: D.items | T.agg
 D.by_category:
@@ -41,6 +43,7 @@ T:
 class ApiServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    SimulatedRemoteStore::Get().Publish(kItemsUrl, kItems);
     ASSERT_TRUE(server_.CreateDashboard("shop", kFlow, Dashboard::Options())
                     .ok());
     ASSERT_TRUE(server_.Post("/dashboards/shop/run", "").ok());
@@ -155,25 +158,61 @@ TEST_F(ApiServerTest, MetricsRouteReflectsActivity) {
   EXPECT_EQ(runs->Value(), before + 1);
 }
 
-TEST_F(ApiServerTest, RunResponseCarriesRetrievableTrace) {
-  HttpResponse run = server_.Post("/dashboards/shop/run", "");
-  ASSERT_EQ(run.status, 200);
+// Runs the shop dashboard and returns the run envelope and the events
+// of its retrieved trace.
+struct TracedRun {
+  JsonValue body;
+  std::vector<JsonValue> events;
+};
+
+TracedRun RunTraced(ApiServer* server) {
+  TracedRun out;
+  HttpResponse run = server->Post("/dashboards/shop/run", "");
+  EXPECT_EQ(run.status, 200) << run.body;
   Result<JsonValue> body = ParseJson(run.body);
-  ASSERT_TRUE(body.ok()) << body.status();
-  const JsonValue* trace_id = body->Find("trace_id");
-  ASSERT_NE(trace_id, nullptr);
+  EXPECT_TRUE(body.ok()) << body.status();
+  if (!body.ok()) return out;
+  out.body = std::move(*body);
+  const JsonValue* trace_id = out.body.Find("trace_id");
+  EXPECT_NE(trace_id, nullptr);
+  if (trace_id == nullptr) return out;
   const std::string& run_id = trace_id->string_value();
   EXPECT_EQ(run_id.rfind("run-", 0), 0u) << run_id;
 
-  HttpResponse trace = server_.Get("/trace/" + run_id);
-  ASSERT_EQ(trace.status, 200);
+  HttpResponse trace = server->Get("/trace/" + run_id);
+  EXPECT_EQ(trace.status, 200);
   Result<JsonValue> parsed = ParseJson(trace.body);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  if (!parsed.ok()) return out;
   const JsonValue* events = parsed->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
+  EXPECT_NE(events, nullptr);
+  if (events == nullptr) return out;
+  EXPECT_TRUE(events->is_array());
+  out.events = events->array_items();
+  return out;
+}
+
+// The `args` value `key` of the first event named `name`, or "" when
+// there is no such event or attribute.
+std::string EventArg(const TracedRun& run, const std::string& name,
+                     const std::string& key) {
+  for (const JsonValue& event : run.events) {
+    if (event.Find("name")->string_value() != name) continue;
+    const JsonValue* args = event.Find("args");
+    const JsonValue* value = args == nullptr ? nullptr : args->Find(key);
+    return value == nullptr ? "" : value->string_value();
+  }
+  return "";
+}
+
+TEST_F(ApiServerTest, RunResponseCarriesRetrievableTrace) {
+  // SetUp already ran over kItems; new bytes make this run parse and
+  // execute again.
+  SimulatedRemoteStore::Get().Publish(kItemsUrl,
+                                      std::string(kItems) + "tool,saw,9\n");
+  TracedRun changed = RunTraced(&server_);
   std::vector<std::string> names;
-  for (const JsonValue& event : events->array_items()) {
+  for (const JsonValue& event : changed.events) {
     names.push_back(event.Find("name")->string_value());
   }
   auto has = [&names](const std::string& name) {
@@ -182,6 +221,49 @@ TEST_F(ApiServerTest, RunResponseCarriesRetrievableTrace) {
   EXPECT_TRUE(has("dashboard.run"));
   EXPECT_TRUE(has("exec.run"));
   EXPECT_TRUE(has("exec.task:agg"));
+  EXPECT_EQ(EventArg(changed, "io.parse", "reused"), "false");
+
+  // Nothing changed since: the source keeps its table and the flow is
+  // answered by the result cache.
+  TracedRun unchanged = RunTraced(&server_);
+  EXPECT_EQ(unchanged.body.Find("cache")->string_value(), "hit");
+  EXPECT_EQ(unchanged.body.Find("sources_reused")->number_value(), 1);
+  EXPECT_EQ(EventArg(unchanged, "io.parse", "reused"), "true");
+  EXPECT_EQ(EventArg(unchanged, "exec.flow:by_category", "cache"), "hit");
+}
+
+TEST_F(ApiServerTest, UnchangedRerunKeepsEndpointEtags) {
+  auto etag = [this](const std::string& object) {
+    HttpResponse response =
+        server_.Get("/api/v1/dashboards/shop/objects/" + object);
+    EXPECT_EQ(response.status, 200);
+    return response.headers["ETag"];
+  };
+  const std::string items = etag("items");
+  const std::string by_category = etag("by_category");
+
+  HttpResponse run = server_.Post("/api/v1/dashboards/shop/run", "");
+  ASSERT_EQ(run.status, 200);
+  Result<JsonValue> body = ParseJson(run.body);
+  ASSERT_TRUE(body.ok()) << body.status();
+  EXPECT_EQ(body->Find("cache")->string_value(), "hit");
+  EXPECT_EQ(body->Find("flows_executed")->number_value(), 0);
+  EXPECT_EQ(body->Find("sources_reused")->number_value(), 1);
+  EXPECT_EQ(etag("items"), items);
+  EXPECT_EQ(etag("by_category"), by_category);
+
+  // One changed byte is a new version all the way down.
+  SimulatedRemoteStore::Get().Publish(
+      kItemsUrl, "category,name,price\nfruit,apple,3\nfruit,pear,5\n"
+                 "tool,hammer,12\n");
+  run = server_.Post("/api/v1/dashboards/shop/run", "");
+  ASSERT_EQ(run.status, 200);
+  body = ParseJson(run.body);
+  ASSERT_TRUE(body.ok()) << body.status();
+  EXPECT_EQ(body->Find("cache")->string_value(), "miss");
+  EXPECT_EQ(body->Find("sources_reused")->number_value(), 0);
+  EXPECT_NE(etag("items"), items);
+  EXPECT_NE(etag("by_category"), by_category);
 }
 
 TEST_F(ApiServerTest, UnknownTraceIs404) {

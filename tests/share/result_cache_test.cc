@@ -196,21 +196,60 @@ TEST(ResultCacheExecTest, DirtyRerunOverUnchangedInputsHitsCache) {
   ExpectTablesIdentical(*store.Get("joined"), *oracle_store.Get("joined"));
 }
 
-// A full run reloads sources: the inline CSV materializes a NEW Table
-// with a new version, so nothing stale can be served even though the
-// bytes are identical — invalidation is structural, not time-based.
+// kDiamond with its inline source swapped for a remote one, so a test
+// can change the payload while the flow stays the same.
+ExecutionPlan RemoteDiamondPlan(const std::string& url) {
+  std::string text = kDiamond;
+  size_t begin = text.find("  protocol: inline");
+  size_t end = text.find("F:");
+  text.replace(begin, end - begin, "  source: " + url + "\n  format: csv\n");
+  auto file = ParseFlowFile(text, "diamond");
+  EXPECT_TRUE(file.ok()) << file.status();
+  auto plan = CompileFlowFile(*file);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  return *plan;
+}
+
+// A full run re-fetches every source. Identical bytes keep the source's
+// Table (same version), so every flow is answered by the cache; changed
+// bytes make a new Table with a new version, so nothing stale can be
+// served — invalidation is structural, not time-based.
 TEST(ResultCacheExecTest, ReloadedSourcesInvalidateByVersion) {
-  ExecutionPlan plan = DiamondPlan();
+  const std::string url = "http://cache.test/diamond.csv";
+  SimulatedRemoteStore::Get().Publish(url, "key,value\na,1\na,2\nb,5\n");
+  ExecutionPlan plan = RemoteDiamondPlan(url);
   ResultCache cache;
   ExecuteOptions options;
   options.result_cache = &cache;
   Executor executor(options);
   DataStore store;
   ASSERT_TRUE(executor.Execute(plan, &store).ok());
-  auto second = executor.Execute(plan, &store);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->flows_executed, 3);
-  EXPECT_EQ(second->flows_cached, 0);
+  const uint64_t src_version = (*store.Get("src"))->version();
+  const uint64_t joined_version = (*store.Get("joined"))->version();
+
+  auto same = executor.Execute(plan, &store);
+  ASSERT_TRUE(same.ok()) << same.status();
+  EXPECT_EQ(same->sources_reused, 1);
+  EXPECT_EQ(same->flows_executed, 0);
+  EXPECT_EQ(same->flows_cached, 3);
+  EXPECT_EQ((*store.Get("src"))->version(), src_version);
+  EXPECT_EQ((*store.Get("joined"))->version(), joined_version);
+
+  SimulatedRemoteStore::Get().Publish(url, "key,value\na,1\na,2\nb,6\n");
+  auto changed = executor.Execute(plan, &store);
+  ASSERT_TRUE(changed.ok()) << changed.status();
+  EXPECT_EQ(changed->sources_reused, 0);
+  EXPECT_EQ(changed->flows_executed, 3);
+  EXPECT_EQ(changed->flows_cached, 0);
+  EXPECT_NE((*store.Get("src"))->version(), src_version);
+  EXPECT_NE((*store.Get("joined"))->version(), joined_version);
+
+  // What the cache left in the store is what a cold run over the new
+  // bytes builds.
+  DataStore oracle;
+  ASSERT_TRUE(Executor().Execute(plan, &oracle).ok());
+  ExpectTablesIdentical(*store.Get("joined"), *oracle.Get("joined"));
+  EXPECT_EQ((*store.Get("joined"))->at(1, 1), Value(static_cast<int64_t>(6)));
 }
 
 // Consumer flows over a published shared table: the registry hands out

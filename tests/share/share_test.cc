@@ -48,6 +48,30 @@ TEST(SharedRegistryTest, RepublishReplaces) {
   EXPECT_EQ(registry.SharedSchema("x")->num_fields(), 2u);
 }
 
+// A run whose sources were unchanged keeps its output tables, and
+// publishing them again must not look like a change to subscribers.
+TEST(SharedRegistryTest, RepublishingTheCurrentVersionIsANoOp) {
+  SharedDataRegistry registry;
+  TablePtr table = OneRow();
+  ASSERT_TRUE(registry.Publish("x", table, "d1").ok());
+  int events = 0;
+  int id = registry.Subscribe(
+      [&events](const std::string&, const SharedDataRegistry::ChangeEvent&) {
+        ++events;
+      });
+  const size_t depth = registry.ChangeLogDepth("x");
+  ASSERT_TRUE(registry.Publish("x", table, "d1").ok());
+  EXPECT_EQ(events, 0);
+  EXPECT_EQ(registry.ChangeLogDepth("x"), depth);
+  EXPECT_TRUE(registry.ChangesSince("x", table->version()).events.empty());
+
+  // A new table under the name is still a change.
+  ASSERT_TRUE(registry.Publish("x", OneRow(), "d1").ok());
+  EXPECT_EQ(events, 1);
+  EXPECT_EQ(registry.ChangeLogDepth("x"), depth + 1);
+  registry.Unsubscribe(id);
+}
+
 TEST(SharedRegistryTest, PublishNullTableRejected) {
   SharedDataRegistry registry;
   EXPECT_FALSE(registry.Publish("x", nullptr, "d").ok());
