@@ -1,6 +1,7 @@
 // Interactive-latency bench (section 3.5.1 / 4.1): a widget interaction
 // (selection-driven filter + group-by) answered three ways —
-//   1. DataCube with inverted indexes (the generated client-side cube),
+//   1. DataCube: dictionary postings + compiled filters (the generated
+//      client-side cube),
 //   2. direct operator execution over the endpoint table,
 //   3. full batch-pipeline re-run (what a stack without the cube does).
 // The paper's design point is that interaction must not re-run the batch

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
+#include <optional>
 
 #include "common/string_util.h"
 #include "cube/shared_scan.h"
@@ -19,42 +19,23 @@ Result<std::shared_ptr<const DataCube>> DataCube::Build(
   const Table& t = *cube->table_;
   for (size_t c = 0; c < t.num_columns(); ++c) {
     const ColumnData& col = t.typed_column(c);
-    if (col.encoding() == ColumnEncoding::kDict) {
-      // Code-addressed index. The dictionary holds exactly the distinct
-      // strings present, so the column's cardinality (including null as
-      // one distinct value, like the generic index counts it) is known
-      // before scanning.
-      size_t cardinality = col.dict().size() + (col.has_nulls() ? 1 : 0);
-      if (cardinality > max_index_cardinality) continue;
-      DictIndex index;
-      index.code_rows.resize(col.dict().size());
-      const std::vector<uint32_t>& codes = col.codes();
-      for (size_t r = 0; r < t.num_rows(); ++r) {
-        if (col.IsNull(r)) {
-          index.null_rows.push_back(static_cast<uint32_t>(r));
-        } else {
-          index.code_rows[codes[r]].push_back(static_cast<uint32_t>(r));
-        }
-      }
-      cube->dict_indexes_.emplace(c, std::move(index));
-      continue;
-    }
-    // Cells are read from the typed storage one at a time: going through
-    // t.at() would leave a decoded Value copy of the whole column on the
-    // table, uncharged and resident for as long as the table is cached.
-    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> index;
-    const bool generic = col.encoding() == ColumnEncoding::kGeneric;
-    bool too_wide = false;
+    if (col.encoding() != ColumnEncoding::kDict) continue;
+    // The dictionary holds exactly the distinct strings present, so the
+    // column's cardinality (null counting as one distinct value) is
+    // known before scanning.
+    size_t cardinality = col.dict().size() + (col.has_nulls() ? 1 : 0);
+    if (cardinality > max_index_cardinality) continue;
+    DictIndex index;
+    index.code_rows.resize(col.dict().size());
+    const std::vector<uint32_t>& codes = col.codes();
     for (size_t r = 0; r < t.num_rows(); ++r) {
-      std::vector<uint32_t>& rows =
-          generic ? index[col.generic()[r]] : index[col.GetValue(r)];
-      rows.push_back(static_cast<uint32_t>(r));
-      if (index.size() > max_index_cardinality) {
-        too_wide = true;
-        break;
+      if (col.IsNull(r)) {
+        index.null_rows.push_back(static_cast<uint32_t>(r));
+      } else {
+        index.code_rows[codes[r]].push_back(static_cast<uint32_t>(r));
       }
     }
-    if (!too_wide) cube->indexes_.emplace(c, std::move(index));
+    cube->dict_indexes_.emplace(c, std::move(index));
   }
   MetricsRegistry::Default()
       .GetCounter("cube_builds_total", "DataCube (re)builds")
@@ -79,238 +60,105 @@ Result<std::shared_ptr<const DataCube>> DataCube::Append(
   const Table& t = *cube->table_;
   for (size_t c = 0; c < t.num_columns(); ++c) {
     const ColumnData& col = t.typed_column(c);
+    if (col.encoding() != ColumnEncoding::kDict) continue;
     const ColumnData& base_col = base->table_->typed_column(c);
-    if (col.encoding() == ColumnEncoding::kDict) {
-      size_t cardinality = col.dict().size() + (col.has_nulls() ? 1 : 0);
-      if (cardinality > max_index_cardinality) continue;
-      auto base_index = base->dict_indexes_.find(c);
-      if (base_index == base->dict_indexes_.end() &&
-          base_col.encoding() == ColumnEncoding::kDict) {
-        // Over the cardinality cap before the append; dictionaries only
-        // grow, so it still is (the check above caught shrinkage cases).
-        continue;
-      }
-      DictIndex index;
-      index.code_rows.resize(col.dict().size());
-      const std::vector<uint32_t>& codes = col.codes();
-      size_t scan_from = 0;
-      if (base_index != base->dict_indexes_.end()) {
-        // Copy-extend: base postings land at their remapped codes (the
-        // merged dictionary is a sorted superset, so old code -> new code
-        // is a binary search per DISTINCT value, not per row).
-        const ColumnData::Dictionary& old_dict = base_col.dict();
-        std::vector<uint32_t> remap(old_dict.size());
-        for (size_t code = 0; code < old_dict.size(); ++code) {
-          remap[code] = col.FindCode(old_dict[code]);
-        }
-        for (size_t code = 0; code < old_dict.size(); ++code) {
-          index.code_rows[remap[code]] = base_index->second.code_rows[code];
-        }
-        index.null_rows = base_index->second.null_rows;
-        scan_from = base_rows;
-      }
-      // Only the appended rows (or every row when the column just became
-      // dict-encoded, e.g. an all-null column that received strings).
-      for (size_t r = scan_from; r < t.num_rows(); ++r) {
-        if (col.IsNull(r)) {
-          index.null_rows.push_back(static_cast<uint32_t>(r));
-        } else {
-          index.code_rows[codes[r]].push_back(static_cast<uint32_t>(r));
-        }
-      }
-      cube->dict_indexes_.emplace(c, std::move(index));
+    size_t cardinality = col.dict().size() + (col.has_nulls() ? 1 : 0);
+    if (cardinality > max_index_cardinality) continue;
+    auto base_index = base->dict_indexes_.find(c);
+    if (base_index == base->dict_indexes_.end() &&
+        base_col.encoding() == ColumnEncoding::kDict) {
+      // Over the cardinality cap before the append; dictionaries only
+      // grow, so it still is (the check above caught shrinkage cases).
       continue;
     }
-    auto base_index = base->indexes_.find(c);
-    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> index;
+    DictIndex index;
+    index.code_rows.resize(col.dict().size());
+    const std::vector<uint32_t>& codes = col.codes();
     size_t scan_from = 0;
-    if (base_index != base->indexes_.end()) {
-      index = base_index->second;  // copy-extend
+    if (base_index != base->dict_indexes_.end()) {
+      // Copy-extend: base postings land at their remapped codes (the
+      // merged dictionary is a sorted superset, so old code -> new code
+      // is a binary search per DISTINCT value, not per row).
+      const ColumnData::Dictionary& old_dict = base_col.dict();
+      std::vector<uint32_t> remap(old_dict.size());
+      for (size_t code = 0; code < old_dict.size(); ++code) {
+        remap[code] = col.FindCode(old_dict[code]);
+      }
+      for (size_t code = 0; code < old_dict.size(); ++code) {
+        index.code_rows[remap[code]] = base_index->second.code_rows[code];
+      }
+      index.null_rows = base_index->second.null_rows;
       scan_from = base_rows;
-    } else if (base_col.encoding() == col.encoding()) {
-      // Same encoding and no base index: the column was too wide to
-      // index before the append and can only have grown.
-      continue;
     }
-    // Unlike Build, this scan keeps t.at(): the grown table is the one
-    // the next readers query, and their generic-path operators decode its
-    // columns anyway. Decoding here once keeps that cost off the readers
-    // (reading cells through GetValue made appends faster but moved the
-    // full-column decode onto the first reader after every append).
-    bool too_wide = false;
+    // Only the appended rows (or every row when the column just became
+    // dict-encoded, e.g. an all-null column that received strings).
     for (size_t r = scan_from; r < t.num_rows(); ++r) {
-      index[t.at(r, c)].push_back(static_cast<uint32_t>(r));
-      if (index.size() > max_index_cardinality) {
-        too_wide = true;
-        break;
+      if (col.IsNull(r)) {
+        index.null_rows.push_back(static_cast<uint32_t>(r));
+      } else {
+        index.code_rows[codes[r]].push_back(static_cast<uint32_t>(r));
       }
     }
-    if (!too_wide) cube->indexes_.emplace(c, std::move(index));
+    cube->dict_indexes_.emplace(c, std::move(index));
   }
   MetricsRegistry::Default()
       .GetCounter("cube_appends_total",
-                  "DataCube streaming appends (copy-extended indexes)")
+                  "DataCube streaming appends (copy-extended postings)")
       ->Increment();
   return std::shared_ptr<const DataCube>(cube);
 }
 
-Result<std::vector<uint32_t>> DataCube::SelectRows(
-    const std::vector<Filter>& filters) const {
-  const Table& t = *table_;
-  // Start with "all rows" implicitly; intersect filter by filter.
-  std::vector<uint32_t> selected;
-  bool initialized = false;
-
-  auto intersect_with = [&](std::vector<uint32_t> rows) {
-    if (!initialized) {
-      selected = std::move(rows);
-      initialized = true;
-      return;
+Result<std::vector<size_t>> DataCube::SelectRows(
+    const std::vector<Filter>& filters, const ExecContext& ctx) const {
+  SI_ASSIGN_OR_RETURN(std::vector<CompiledFilter> compiled,
+                      CompiledFilter::CompileAll(*table_, filters));
+  // Membership filters on posted columns: the union of their postings,
+  // intersected across filters.
+  std::optional<std::vector<uint32_t>> posted;
+  std::vector<const CompiledFilter*> rest;
+  for (const CompiledFilter& filter : compiled) {
+    auto index = filter.is_dict_set()
+                     ? dict_indexes_.find(filter.column_index())
+                     : dict_indexes_.end();
+    if (index == dict_indexes_.end()) {
+      rest.push_back(&filter);
+      continue;
     }
-    std::vector<uint32_t> out;
-    std::set_intersection(selected.begin(), selected.end(), rows.begin(),
-                          rows.end(), std::back_inserter(out));
-    selected = std::move(out);
-  };
-
-  // Scans with a per-row predicate, narrowing the current selection (or
-  // the whole table on the first filter). Row order stays ascending.
-  auto scan_keep = [&](auto keep) {
+    // A row carries one code (or null), so the postings are disjoint.
     std::vector<uint32_t> rows;
-    if (initialized) {
-      for (uint32_t r : selected) {
-        if (keep(r)) rows.push_back(r);
-      }
-    } else {
-      for (size_t r = 0; r < t.num_rows(); ++r) {
-        if (keep(r)) rows.push_back(static_cast<uint32_t>(r));
-      }
-      initialized = true;
+    size_t lists = 0;
+    auto add = [&](const std::vector<uint32_t>& list) {
+      if (list.empty()) return;
+      rows.insert(rows.end(), list.begin(), list.end());
+      ++lists;
+    };
+    if (filter.null_allowed()) add(index->second.null_rows);
+    const std::vector<uint8_t>& allowed = filter.allowed_codes();
+    for (size_t code = 0; code < index->second.code_rows.size(); ++code) {
+      if (allowed[code] != 0) add(index->second.code_rows[code]);
     }
-    selected = std::move(rows);
-  };
-
-  for (const Filter& filter : filters) {
-    if (filter.values.empty()) continue;  // no constraint
-    SI_ASSIGN_OR_RETURN(size_t col_idx,
-                        t.schema().RequireIndex(filter.column));
-    const ColumnData& col = t.typed_column(col_idx);
-    if (filter.is_range) {
-      if (filter.values.size() != 2) {
-        return Status::InvalidArgument("range filter on '" + filter.column +
-                                       "' needs exactly 2 bounds");
-      }
-      const Value& lo = filter.values[0];
-      const Value& hi = filter.values[1];
-      switch (col.encoding()) {
-        case ColumnEncoding::kDict: {
-          // The sorted dictionary turns the Value range into a contiguous
-          // code interval. Non-string bounds resolve by cross-type rank:
-          // strings sit above null/bool/numeric, so a non-string low
-          // bound keeps all strings and a non-string high bound none.
-          uint32_t lo_code =
-              lo.is_string() ? col.LowerBoundCode(lo.string_value()) : 0;
-          uint32_t hi_code =
-              hi.is_string() ? col.UpperBoundCode(hi.string_value()) : 0;
-          if (!hi.is_string()) lo_code = hi_code;  // empty interval
-          const uint32_t* codes = col.codes().data();
-          scan_keep([&, codes, lo_code, hi_code](size_t r) {
-            return !col.IsNull(r) && codes[r] >= lo_code &&
-                   codes[r] < hi_code;
-          });
-          break;
-        }
-        case ColumnEncoding::kInt64: {
-          const int64_t* data = col.ints().data();
-          scan_keep([&, data](size_t r) {
-            return !col.IsNull(r) && CompareInt64Cell(data[r], lo) >= 0 &&
-                   CompareInt64Cell(data[r], hi) <= 0;
-          });
-          break;
-        }
-        case ColumnEncoding::kDouble: {
-          const double* data = col.doubles().data();
-          scan_keep([&, data](size_t r) {
-            return !col.IsNull(r) && CompareDoubleCell(data[r], lo) >= 0 &&
-                   CompareDoubleCell(data[r], hi) <= 0;
-          });
-          break;
-        }
-        default:
-          scan_keep([&](size_t r) {
-            const Value& v = t.at(r, col_idx);
-            return !v.is_null() && v >= lo && v <= hi;
-          });
-      }
-      continue;
+    if (lists > 1) std::sort(rows.begin(), rows.end());
+    if (posted.has_value()) {
+      std::vector<uint32_t> both;
+      std::set_intersection(posted->begin(), posted->end(), rows.begin(),
+                            rows.end(), std::back_inserter(both));
+      rows = std::move(both);
     }
-    // Membership filter: use the inverted index when available.
-    auto dict_it = dict_indexes_.find(col_idx);
-    if (dict_it != dict_indexes_.end()) {
-      // Row lists addressed by dictionary code; non-string filter values
-      // (other than null) can never match a string cell.
-      const DictIndex& index = dict_it->second;
-      std::vector<uint32_t> rows;
-      for (const Value& v : filter.values) {
-        if (v.is_null()) {
-          rows.insert(rows.end(), index.null_rows.begin(),
-                      index.null_rows.end());
-        } else if (v.is_string()) {
-          uint32_t code = col.FindCode(v.string_value());
-          if (code != ColumnData::kNoCode) {
-            rows.insert(rows.end(), index.code_rows[code].begin(),
-                        index.code_rows[code].end());
-          }
-        }
-      }
-      std::sort(rows.begin(), rows.end());
-      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-      intersect_with(std::move(rows));
-      continue;
-    }
-    auto index_it = indexes_.find(col_idx);
-    if (index_it != indexes_.end()) {
-      std::vector<uint32_t> rows;
-      for (const Value& v : filter.values) {
-        auto rows_it = index_it->second.find(v);
-        if (rows_it != index_it->second.end()) {
-          rows.insert(rows.end(), rows_it->second.begin(),
-                      rows_it->second.end());
-        }
-      }
-      std::sort(rows.begin(), rows.end());
-      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-      intersect_with(std::move(rows));
-    } else if (col.encoding() == ColumnEncoding::kDict) {
-      // Too-wide dictionary column (no index): test membership on raw
-      // codes via a per-code verdict bitmap.
-      std::vector<uint8_t> allowed_codes(col.dict().size(), 0);
-      bool null_allowed = false;
-      for (const Value& v : filter.values) {
-        if (v.is_null()) {
-          null_allowed = true;
-        } else if (v.is_string()) {
-          uint32_t code = col.FindCode(v.string_value());
-          if (code != ColumnData::kNoCode) allowed_codes[code] = 1;
-        }
-      }
-      const uint32_t* codes = col.codes().data();
-      scan_keep([&, codes](size_t r) {
-        return col.IsNull(r) ? null_allowed : allowed_codes[codes[r]] != 0;
-      });
-    } else {
-      std::unordered_set<Value, ValueHash> allowed(filter.values.begin(),
-                                                   filter.values.end());
-      scan_keep(
-          [&](size_t r) { return allowed.count(t.at(r, col_idx)) > 0; });
-    }
+    posted = std::move(rows);
   }
-
-  if (!initialized) {
-    selected.resize(t.num_rows());
-    for (size_t r = 0; r < t.num_rows(); ++r) {
-      selected[r] = static_cast<uint32_t>(r);
+  if (!posted.has_value()) return SelectRowsMatching(*table_, compiled, ctx);
+  // Every other filter narrows the posted rows one row at a time.
+  std::vector<size_t> selected;
+  selected.reserve(posted->size());
+  for (uint32_t r : *posted) {
+    bool keep = true;
+    for (const CompiledFilter* filter : rest) {
+      if (!filter->Keep(r)) {
+        keep = false;
+        break;
+      }
     }
+    if (keep) selected.push_back(r);
   }
   return selected;
 }
@@ -343,7 +191,7 @@ Status CheckQueryCancelled(const ExecContext& ctx) {
 Result<DataCube::Slice> DataCube::MaterializeSlice(
     const std::vector<Filter>& filters, const ExecContext& ctx) const {
   SI_RETURN_IF_ERROR(CheckQueryCancelled(ctx));
-  SI_ASSIGN_OR_RETURN(std::vector<uint32_t> rows, SelectRows(filters));
+  SI_ASSIGN_OR_RETURN(std::vector<size_t> rows, SelectRows(filters, ctx));
 
   // Materialize the filtered slice; charge the slice against the memory
   // budget first (rows_selected x all columns is the cube's dominant
@@ -360,17 +208,16 @@ Result<DataCube::Slice> DataCube::MaterializeSlice(
   // Typed column-wise gather of the slice (already charged above as
   // "cube:filter", so this does not route through GatherRows and its
   // separate "gather" charge).
-  std::vector<size_t> row_idx(rows.begin(), rows.end());
   std::vector<ColumnData> slice_columns;
   slice_columns.reserve(table_->num_columns());
   for (size_t c = 0; c < table_->num_columns(); ++c) {
     slice_columns.push_back(
-        ColumnData::AllocateLike(table_->typed_column(c), row_idx.size()));
+        ColumnData::AllocateLike(table_->typed_column(c), rows.size()));
   }
   SI_RETURN_IF_ERROR(ForEachMorsel(
-      ctx, row_idx.size(), [&](size_t, size_t begin, size_t end) -> Status {
+      ctx, rows.size(), [&](size_t, size_t begin, size_t end) -> Status {
         for (size_t c = 0; c < table_->num_columns(); ++c) {
-          slice_columns[c].GatherFrom(table_->typed_column(c), row_idx, begin,
+          slice_columns[c].GatherFrom(table_->typed_column(c), rows, begin,
                                       end);
         }
         return Status::OK();

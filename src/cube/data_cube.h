@@ -10,6 +10,7 @@
 #include "gov/memory_budget.h"
 #include "obs/trace.h"
 #include "ops/aggregate.h"
+#include "ops/filter.h"
 #include "ops/groupby.h"
 #include "ops/sort_ops.h"
 #include "table/column.h"
@@ -22,19 +23,18 @@ namespace shareinsights {
 /// The paper compiles widget interaction flows into "a data cube (in
 /// JavaScript) - for ad-hoc widget interaction (group, filter etc)"
 /// evaluated in the browser; this class is that runtime in C++. It holds
-/// the endpoint table plus per-column inverted indexes so selection-
-/// driven filters touch only matching rows instead of re-running the
-/// batch pipeline (bench_cube_latency quantifies the difference).
+/// the endpoint table plus, for each dictionary-encoded string column,
+/// row postings addressed by dictionary code, so a selection of a few
+/// values out of thousands touches only the matching rows instead of
+/// re-running the batch pipeline (bench_cube_latency quantifies the
+/// difference). Every other filter runs through FilterValuesOp's
+/// compiled filters (CompiledFilter, ops/filter.h).
 class DataCube {
  public:
-  /// One filter of a query. `values` non-empty: membership test (or an
-  /// inclusive [min,max] when `is_range`). Empty `values`: no constraint,
-  /// mirroring "nothing selected shows everything".
-  struct Filter {
-    std::string column;
-    std::vector<Value> values;
-    bool is_range = false;
-  };
+  /// One filter of a query. `allowed` non-empty: membership test (or an
+  /// inclusive [min,max] when `is_range`). Empty `allowed`: no
+  /// constraint, mirroring "nothing selected shows everything".
+  using Filter = FilterValuesOp::ColumnFilter;
 
   /// A compiled interaction query: filters, then optional group-by with
   /// aggregates, then optional ordering and limit. This is the target
@@ -48,20 +48,22 @@ class DataCube {
     size_t limit = 0;  // 0 = unlimited
   };
 
-  /// Builds the cube, indexing every column whose distinct-value count is
-  /// at most `max_index_cardinality` (high-cardinality columns fall back
-  /// to scans; indexing them would cost more than it saves).
+  /// Builds the cube, posting every dictionary column whose distinct-value
+  /// count (null counting as one) is at most `max_index_cardinality`
+  /// (wider columns fall back to the columnar filters; postings for them
+  /// would cost more than they save).
   static Result<std::shared_ptr<const DataCube>> Build(
       TablePtr table, size_t max_index_cardinality = 10000);
 
   /// Streaming rebuild: `grown` must be `base->table()` plus appended rows
   /// (the executor's encoding-preserving concat). Returns a NEW immutable
-  /// cube whose inverted indexes are copy-extended — base postings are
-  /// copied (remapped through the merged dictionary where it grew) and
-  /// only the appended rows are scanned — instead of re-indexing every
-  /// row. Queries against the result are byte-identical to queries
-  /// against Build(grown); columns crossing `max_index_cardinality` drop
-  /// their index exactly as a cold build would skip them.
+  /// cube whose postings are copy-extended — base postings are copied
+  /// (remapped through the merged dictionary where it grew) and only the
+  /// appended rows are scanned — instead of re-indexing every row. Reads
+  /// only dictionary codes, never decoded cells. Queries against the
+  /// result are byte-identical to queries against Build(grown); columns
+  /// crossing `max_index_cardinality` drop their postings exactly as a
+  /// cold build would skip them.
   static Result<std::shared_ptr<const DataCube>> Append(
       const std::shared_ptr<const DataCube>& base, TablePtr grown,
       size_t max_index_cardinality = 10000);
@@ -90,26 +92,25 @@ class DataCube {
   Result<std::vector<TablePtr>> ExecuteBatch(
       const std::vector<const Query*>& queries, const ExecContext& ctx) const;
 
-  /// Number of indexed columns (exposed for tests/benches).
-  size_t num_indexed_columns() const {
-    return indexes_.size() + dict_indexes_.size();
-  }
+  /// Number of columns with postings (exposed for tests/benches).
+  size_t num_indexed_columns() const { return dict_indexes_.size(); }
 
  private:
   explicit DataCube(TablePtr table) : table_(std::move(table)) {}
 
-  /// Inverted index over a dictionary-encoded column: row lists are
-  /// addressed by dictionary code (a vector lookup, no Value hashing),
-  /// and because the dictionary is sorted, range filters collapse to a
-  /// contiguous code interval.
+  /// Postings of a dictionary-encoded column: row lists addressed by
+  /// dictionary code (a vector lookup, no Value hashing).
   struct DictIndex {
     std::vector<std::vector<uint32_t>> code_rows;  // code -> sorted row ids
     std::vector<uint32_t> null_rows;
   };
 
-  /// Rows selected by the query's filters, in ascending order.
-  Result<std::vector<uint32_t>> SelectRows(
-      const std::vector<Filter>& filters) const;
+  /// Rows selected by the query's filters, in ascending order: membership
+  /// filters on posted columns intersect their postings and the other
+  /// filters narrow that row by row; with no postings to start from, all
+  /// filters run as one columnar pass (SelectRowsMatching).
+  Result<std::vector<size_t>> SelectRows(const std::vector<Filter>& filters,
+                                         const ExecContext& ctx) const;
 
   /// The filtered slice of the cube table, gathered column-wise, with the
   /// memory charge held for as long as the slice is referenced.
@@ -128,12 +129,7 @@ class DataCube {
                                const ExecContext& ctx) const;
 
   TablePtr table_;
-  // column index -> (value -> sorted row ids); non-dict columns only
-  std::unordered_map<size_t,
-                     std::unordered_map<Value, std::vector<uint32_t>,
-                                        ValueHash>>
-      indexes_;
-  // column index -> code-addressed index; dict columns only
+  // column index -> code-addressed postings; dict columns only
   std::unordered_map<size_t, DictIndex> dict_indexes_;
 };
 

@@ -9,14 +9,14 @@ namespace shareinsights {
 std::string CanonicalFilterKey(const std::vector<DataCube::Filter>& filters) {
   std::string out = "filters/v1";
   for (const DataCube::Filter& filter : filters) {
-    // An empty values list is "no constraint" (DataCube::SelectRows skips
+    // An empty allowed list is "no constraint" (DataCube::SelectRows skips
     // it), so dropping it here lets otherwise-identical queries share.
-    if (filter.values.empty()) continue;
+    if (filter.allowed.empty()) continue;
     out += ';';
     out += Fingerprinter::Field(filter.column);
     out += filter.is_range ? 'r' : 'v';
     out += '[';
-    for (const Value& value : filter.values) {
+    for (const Value& value : filter.allowed) {
       out += Fingerprinter::Field(Fingerprinter::FingerprintValueKey(value));
     }
     out += ']';

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_set>
 
 #include "common/fingerprint.h"
 #include "common/string_util.h"
@@ -51,26 +50,35 @@ Result<TablePtr> SelectRows(
   return GatherRows(input, ConcatSelections(selections), ctx);
 }
 
-/// Columnar skeleton: `apply(begin, end, sel)` ANDs its verdicts into a
-/// byte-per-row selection mask (pre-set to all-selected) one morsel at a
-/// time; the mask then compresses back to gather indexes. Byte-identical
-/// to SelectRows for any `apply` computing the same per-row verdicts,
+/// Columnar row selection: `apply(begin, end, sel)` ANDs its verdicts
+/// into a byte-per-row selection mask (pre-set to all-selected) one morsel
+/// at a time; the mask then compresses back to row ids. Selects the same
+/// rows as SelectRows for any `apply` computing the same per-row verdicts,
 /// across thread counts (per-morsel selections concatenate in morsel
 /// order).
 template <typename Apply>
-Result<TablePtr> SelectRowsColumnar(const TablePtr& input,
-                                    const ExecContext& ctx, Apply apply) {
-  std::vector<MorselRange> ranges = MorselRanges(input->num_rows(), ctx);
+Result<std::vector<size_t>> SelectByMask(size_t num_rows,
+                                         const ExecContext& ctx,
+                                         Apply apply) {
+  std::vector<MorselRange> ranges = MorselRanges(num_rows, ctx);
   std::vector<std::vector<size_t>> selections(ranges.size());
   SI_RETURN_IF_ERROR(ForEachMorsel(
-      ctx, input->num_rows(),
-      [&](size_t m, size_t begin, size_t end) -> Status {
+      ctx, num_rows, [&](size_t m, size_t begin, size_t end) -> Status {
         std::vector<uint8_t> sel(end - begin, 1);
         apply(begin, end, sel.data());
         simd::CompressMask(sel.data(), end - begin, begin, selections[m]);
         return Status::OK();
       }));
-  return GatherRows(input, ConcatSelections(selections), ctx);
+  return ConcatSelections(selections);
+}
+
+/// SelectByMask, then the gather of the selected rows.
+template <typename Apply>
+Result<TablePtr> SelectRowsColumnar(const TablePtr& input,
+                                    const ExecContext& ctx, Apply apply) {
+  SI_ASSIGN_OR_RETURN(std::vector<size_t> rows,
+                      SelectByMask(input->num_rows(), ctx, apply));
+  return GatherRows(input, rows, ctx);
 }
 
 // Which Compare outcomes (-1 / 0 / +1) a comparator keeps.
@@ -359,149 +367,113 @@ Result<Schema> FilterValuesOp::OutputSchema(
   return inputs[0];
 }
 
-namespace {
-
-/// One bound constraint of a FilterValuesOp, pre-compiled against the
-/// column's encoding. Typed columns test raw codes/primitives; kGeneric
-/// columns (and bool columns, too rare to matter) fall back to the Value
-/// path.
-struct BoundFilter {
-  const ColumnData* column = nullptr;
-  const FilterValuesOp::ColumnFilter* filter = nullptr;
-
-  enum class Kind {
-    kGenericSet,    // Value hash-set membership (fallback)
-    kGenericRange,  // Value range compare (fallback)
-    kDictSet,       // membership via per-code bitmap
-    kDictRange,     // contiguous code range [lo_code, hi_code)
-    kInt64Set,
-    kInt64Range,
-    kDoubleSet,
-    kDoubleRange,
-  };
-  Kind kind = Kind::kGenericSet;
-
-  // kGenericSet
-  std::unordered_set<Value, ValueHash> allowed;
-  // kDictSet: allowed_codes[code] != 0 keeps the row (padded for the
-  // AndCodeSet gather, see kCodeSetPadding)
-  std::vector<uint8_t> allowed_codes;
-  bool null_allowed = false;
-  // kDictRange
-  uint32_t lo_code = 0;
-  uint32_t hi_code = 0;
-  // kInt64Set / kDoubleSet (doubles as normalized bit patterns)
-  std::unordered_set<int64_t> allowed_ints;
-  std::unordered_set<uint64_t> allowed_bits;
-
-  bool Keep(size_t r) const {
-    const ColumnData& col = *column;
-    switch (kind) {
-      case Kind::kGenericSet:
-        return allowed.count(col.GetValue(r)) > 0;
-      case Kind::kGenericRange: {
-        Value v = col.GetValue(r);
-        return !v.is_null() && v >= filter->allowed[0] &&
-               v <= filter->allowed[1];
-      }
-      case Kind::kDictSet:
-        if (col.IsNull(r)) return null_allowed;
-        return allowed_codes[col.codes()[r]] != 0;
-      case Kind::kDictRange: {
-        if (col.IsNull(r)) return false;
-        uint32_t code = col.codes()[r];
-        return code >= lo_code && code < hi_code;
-      }
-      case Kind::kInt64Set: {
-        if (col.IsNull(r)) return null_allowed;
-        int64_t x = col.ints()[r];
-        if (allowed_ints.count(x) > 0) return true;
-        // Value::Compare tests int64-vs-double by converting the int64
-        // cell to double, so double allowed values match via bit pattern.
-        return !allowed_bits.empty() &&
-               allowed_bits.count(PackDoubleBits(static_cast<double>(x))) > 0;
-      }
-      case Kind::kInt64Range:
-        return !col.IsNull(r) &&
-               CompareInt64Cell(col.ints()[r], filter->allowed[0]) >= 0 &&
-               CompareInt64Cell(col.ints()[r], filter->allowed[1]) <= 0;
-      case Kind::kDoubleSet:
-        if (col.IsNull(r)) return null_allowed;
-        return allowed_bits.count(PackDoubleBits(col.doubles()[r])) > 0;
-      case Kind::kDoubleRange:
-        return !col.IsNull(r) &&
-               CompareDoubleCell(col.doubles()[r], filter->allowed[0]) >= 0 &&
-               CompareDoubleCell(col.doubles()[r], filter->allowed[1]) <= 0;
+bool CompiledFilter::Keep(size_t r) const {
+  const ColumnData& col = *column_;
+  switch (kind_) {
+    case Kind::kGenericSet:
+      return allowed_.count(col.GetValue(r)) > 0;
+    case Kind::kGenericRange: {
+      Value v = col.GetValue(r);
+      return !v.is_null() && v >= filter_->allowed[0] &&
+             v <= filter_->allowed[1];
     }
-    return false;
+    case Kind::kDictSet:
+      if (col.IsNull(r)) return null_allowed_;
+      return allowed_codes_[col.codes()[r]] != 0;
+    case Kind::kDictRange: {
+      if (col.IsNull(r)) return false;
+      uint32_t code = col.codes()[r];
+      return code >= lo_code_ && code < hi_code_;
+    }
+    case Kind::kInt64Set: {
+      if (col.IsNull(r)) return null_allowed_;
+      int64_t x = col.ints()[r];
+      if (allowed_ints_.count(x) > 0) return true;
+      // Value::Compare tests int64-vs-double by converting the int64
+      // cell to double, so double allowed values match via bit pattern.
+      return !allowed_bits_.empty() &&
+             allowed_bits_.count(PackDoubleBits(static_cast<double>(x))) > 0;
+    }
+    case Kind::kInt64Range:
+      return !col.IsNull(r) &&
+             CompareInt64Cell(col.ints()[r], filter_->allowed[0]) >= 0 &&
+             CompareInt64Cell(col.ints()[r], filter_->allowed[1]) <= 0;
+    case Kind::kDoubleSet:
+      if (col.IsNull(r)) return null_allowed_;
+      return allowed_bits_.count(PackDoubleBits(col.doubles()[r])) > 0;
+    case Kind::kDoubleRange:
+      return !col.IsNull(r) &&
+             CompareDoubleCell(col.doubles()[r], filter_->allowed[0]) >= 0 &&
+             CompareDoubleCell(col.doubles()[r], filter_->allowed[1]) <= 0;
   }
+  return false;
+}
 
-  /// One columnar AND pass over rows [begin, end) with the kind dispatch
-  /// hoisted out of the row loop. Kernel-representable kinds call the
-  /// simd library; set-membership and mixed-type range kinds keep
-  /// per-row verdicts (hash probes / Value compares don't vectorize) but
-  /// still skip already-dropped rows and share the hoisted dispatch.
-  void ApplyColumnar(size_t begin, size_t end, uint8_t* sel) const {
-    const ColumnData& col = *column;
-    const size_t n = end - begin;
-    const uint8_t* nulls =
-        col.has_nulls() ? col.nulls().data() + begin : nullptr;
-    switch (kind) {
-      case Kind::kDictSet:
-        simd::AndCodeSet(col.codes().data() + begin, nulls, null_allowed,
-                         allowed_codes.data(), sel, n);
+// Kernel-representable kinds call the simd library; set-membership and
+// mixed-type range kinds keep per-row verdicts (hash probes / Value
+// compares don't vectorize) but still skip already-dropped rows.
+void CompiledFilter::ApplyColumnar(size_t begin, size_t end,
+                                   uint8_t* sel) const {
+  const ColumnData& col = *column_;
+  const size_t n = end - begin;
+  const uint8_t* nulls =
+      col.has_nulls() ? col.nulls().data() + begin : nullptr;
+  switch (kind_) {
+    case Kind::kDictSet:
+      simd::AndCodeSet(col.codes().data() + begin, nulls, null_allowed_,
+                       allowed_codes_.data(), sel, n);
+      return;
+    case Kind::kDictRange:
+      simd::AndCodeRange(col.codes().data() + begin, nulls,
+                         /*null_keep=*/false, lo_code_, hi_code_, sel, n);
+      return;
+    case Kind::kInt64Range: {
+      const Value& lo = filter_->allowed[0];
+      const Value& hi = filter_->allowed[1];
+      // CompareInt64Cell against non-int64 bounds converts the cell to
+      // double, which an int64 lane compare can't replicate — those stay
+      // on the scalar loop below.
+      if (lo.is_int64() && hi.is_int64()) {
+        simd::AndInt64Range(col.ints().data() + begin, nulls,
+                            /*null_keep=*/false, lo.int64_value(),
+                            hi.int64_value(), sel, n);
         return;
-      case Kind::kDictRange:
-        simd::AndCodeRange(col.codes().data() + begin, nulls,
-                           /*null_keep=*/false, lo_code, hi_code, sel, n);
-        return;
-      case Kind::kInt64Range: {
-        const Value& lo = filter->allowed[0];
-        const Value& hi = filter->allowed[1];
-        // CompareInt64Cell against non-int64 bounds converts the cell to
-        // double, which an int64 lane compare can't replicate — those
-        // stay on the scalar loop below.
-        if (lo.is_int64() && hi.is_int64()) {
-          simd::AndInt64Range(col.ints().data() + begin, nulls,
-                              /*null_keep=*/false, lo.int64_value(),
-                              hi.int64_value(), sel, n);
+      }
+      break;
+    }
+    case Kind::kDoubleRange: {
+      const Value& lo = filter_->allowed[0];
+      const Value& hi = filter_->allowed[1];
+      // CompareDoubleCell converts numeric bounds with AsDouble, which the
+      // kernel replicates exactly (NaN cells order above hi and drop); NaN
+      // bounds need total-order semantics — scalar.
+      if (lo.is_numeric() && hi.is_numeric()) {
+        double lo_d = lo.AsDouble();
+        double hi_d = hi.AsDouble();
+        if (!std::isnan(lo_d) && !std::isnan(hi_d)) {
+          simd::AndDoubleRange(col.doubles().data() + begin, nulls,
+                               /*null_keep=*/false, lo_d, hi_d, sel, n);
           return;
         }
-        break;
       }
-      case Kind::kDoubleRange: {
-        const Value& lo = filter->allowed[0];
-        const Value& hi = filter->allowed[1];
-        // CompareDoubleCell converts numeric bounds with AsDouble, which
-        // the kernel replicates exactly (NaN cells order above hi and
-        // drop); NaN bounds need total-order semantics — scalar.
-        if (lo.is_numeric() && hi.is_numeric()) {
-          double lo_d = lo.AsDouble();
-          double hi_d = hi.AsDouble();
-          if (!std::isnan(lo_d) && !std::isnan(hi_d)) {
-            simd::AndDoubleRange(col.doubles().data() + begin, nulls,
-                                 /*null_keep=*/false, lo_d, hi_d, sel, n);
-            return;
-          }
-        }
-        break;
-      }
-      default:
-        break;
+      break;
     }
-    for (size_t r = begin; r < end; ++r) {
-      uint8_t& s = sel[r - begin];
-      if (s != 0 && !Keep(r)) s = 0;
-    }
+    default:
+      break;
   }
-};
+  for (size_t r = begin; r < end; ++r) {
+    uint8_t& s = sel[r - begin];
+    if (s != 0 && !Keep(r)) s = 0;
+  }
+}
 
-// Compiles one ColumnFilter against its column's encoding.
-BoundFilter CompileFilter(const ColumnData& column,
-                          const FilterValuesOp::ColumnFilter& filter) {
-  BoundFilter b;
-  b.column = &column;
-  b.filter = &filter;
+CompiledFilter CompiledFilter::Compile(
+    const ColumnData& column, size_t column_index,
+    const FilterValuesOp::ColumnFilter& filter) {
+  CompiledFilter b;
+  b.column_ = &column;
+  b.column_index_ = column_index;
+  b.filter_ = &filter;
   const bool is_dict = column.encoding() == ColumnEncoding::kDict;
   const bool is_int = column.encoding() == ColumnEncoding::kInt64;
   const bool is_dbl = column.encoding() == ColumnEncoding::kDouble;
@@ -514,89 +486,96 @@ BoundFilter CompileFilter(const ColumnData& column,
       // dictionary. Non-string bounds resolve by cross-type rank: every
       // string sorts above null/bool/numeric, so a non-string low bound
       // keeps everything and a non-string high bound keeps nothing.
-      b.kind = BoundFilter::Kind::kDictRange;
-      b.lo_code = lo.is_string() ? column.LowerBoundCode(lo.string_value())
-                                 : 0;
-      b.hi_code = hi.is_string()
-                      ? column.UpperBoundCode(hi.string_value())
-                      : 0;
-      if (!hi.is_string()) b.lo_code = b.hi_code;  // empty range
+      b.kind_ = Kind::kDictRange;
+      b.lo_code_ =
+          lo.is_string() ? column.LowerBoundCode(lo.string_value()) : 0;
+      b.hi_code_ =
+          hi.is_string() ? column.UpperBoundCode(hi.string_value()) : 0;
+      if (!hi.is_string()) b.lo_code_ = b.hi_code_;  // empty range
       return b;
     }
-    if (is_int) {
-      b.kind = BoundFilter::Kind::kInt64Range;
-      return b;
-    }
-    if (is_dbl) {
-      b.kind = BoundFilter::Kind::kDoubleRange;
-      return b;
-    }
-    b.kind = BoundFilter::Kind::kGenericRange;
+    b.kind_ = is_int   ? Kind::kInt64Range
+              : is_dbl ? Kind::kDoubleRange
+                       : Kind::kGenericRange;
     return b;
   }
 
   for (const Value& v : filter.allowed) {
-    if (v.is_null()) b.null_allowed = true;
+    if (v.is_null()) b.null_allowed_ = true;
   }
   if (is_dict) {
-    b.kind = BoundFilter::Kind::kDictSet;
+    b.kind_ = Kind::kDictSet;
     // Size at least 1 so the kernel's word gather at code 0 (what null
     // rows store) stays in bounds even for a degenerate empty dictionary.
-    b.allowed_codes.assign(
+    b.allowed_codes_.assign(
         std::max<size_t>(column.dict().size(), 1) + simd::kCodeSetPadding, 0);
     for (const Value& v : filter.allowed) {
       if (!v.is_string()) continue;  // non-strings never equal a string
       uint32_t code = column.FindCode(v.string_value());
-      if (code != ColumnData::kNoCode) b.allowed_codes[code] = 1;
+      if (code != ColumnData::kNoCode) b.allowed_codes_[code] = 1;
     }
     return b;
   }
   if (is_int) {
-    b.kind = BoundFilter::Kind::kInt64Set;
+    b.kind_ = Kind::kInt64Set;
     for (const Value& v : filter.allowed) {
       if (v.is_int64()) {
-        b.allowed_ints.insert(v.int64_value());
+        b.allowed_ints_.insert(v.int64_value());
       } else if (v.is_double()) {
-        b.allowed_bits.insert(PackDoubleBits(v.double_value()));
+        b.allowed_bits_.insert(PackDoubleBits(v.double_value()));
       }
     }
     return b;
   }
   if (is_dbl) {
-    b.kind = BoundFilter::Kind::kDoubleSet;
+    b.kind_ = Kind::kDoubleSet;
     for (const Value& v : filter.allowed) {
-      if (v.is_numeric()) b.allowed_bits.insert(PackDoubleBits(v.AsDouble()));
+      if (v.is_numeric()) b.allowed_bits_.insert(PackDoubleBits(v.AsDouble()));
     }
     return b;
   }
-  b.kind = BoundFilter::Kind::kGenericSet;
-  b.allowed.insert(filter.allowed.begin(), filter.allowed.end());
+  b.kind_ = Kind::kGenericSet;
+  b.allowed_.insert(filter.allowed.begin(), filter.allowed.end());
   return b;
 }
 
-}  // namespace
-
-Result<TablePtr> FilterValuesOp::Execute(
-    const std::vector<TablePtr>& inputs, const ExecContext& ctx) const {
-  const TablePtr& input = inputs[0];
-  std::vector<BoundFilter> bound;
-  for (const ColumnFilter& f : filters_) {
+Result<std::vector<CompiledFilter>> CompiledFilter::CompileAll(
+    const Table& table,
+    const std::vector<FilterValuesOp::ColumnFilter>& filters) {
+  std::vector<CompiledFilter> compiled;
+  for (const FilterValuesOp::ColumnFilter& f : filters) {
     if (f.allowed.empty()) continue;  // no selection = no constraint
-    SI_ASSIGN_OR_RETURN(size_t idx, input->schema().RequireIndex(f.column));
+    SI_ASSIGN_OR_RETURN(size_t idx, table.schema().RequireIndex(f.column));
     if (f.is_range && f.allowed.size() != 2) {
       return Status::InvalidArgument(
           "range filter on '" + f.column + "' needs exactly 2 bounds, got " +
           std::to_string(f.allowed.size()));
     }
-    bound.push_back(CompileFilter(input->typed_column(idx), f));
+    compiled.push_back(Compile(table.typed_column(idx), idx, f));
   }
-  // A conjunction is one columnar AND pass per bound filter.
-  return SelectRowsColumnar(input, ctx,
-                            [&](size_t begin, size_t end, uint8_t* sel) {
-                              for (const BoundFilter& b : bound) {
-                                b.ApplyColumnar(begin, end, sel);
-                              }
-                            });
+  return compiled;
+}
+
+Result<std::vector<size_t>> SelectRowsMatching(
+    const Table& table, const std::vector<CompiledFilter>& filters,
+    const ExecContext& ctx) {
+  // A conjunction is one columnar AND pass per compiled filter.
+  return SelectByMask(table.num_rows(), ctx,
+                      [&](size_t begin, size_t end, uint8_t* sel) {
+                        for (const CompiledFilter& f : filters) {
+                          f.ApplyColumnar(begin, end, sel);
+                        }
+                      });
+}
+
+Result<TablePtr> FilterValuesOp::Execute(
+    const std::vector<TablePtr>& inputs, const ExecContext& ctx) const {
+  const TablePtr& input = inputs[0];
+  SI_ASSIGN_OR_RETURN(std::vector<CompiledFilter> compiled,
+                      CompiledFilter::CompileAll(*input, filters_));
+  SI_ASSIGN_OR_RETURN(std::vector<size_t> rows,
+                      SelectRowsMatching(*input, compiled, ctx));
+  return GatherRows(input, rows, ctx);
 }
 
 Result<FilterCompareOp::Cmp> FilterCompareOp::ParseCmp(

@@ -1,7 +1,9 @@
 #ifndef SHAREINSIGHTS_OPS_FILTER_H_
 #define SHAREINSIGHTS_OPS_FILTER_H_
 
+#include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "expr/expr.h"
@@ -71,6 +73,79 @@ class FilterValuesOp : public TableOperator {
  private:
   std::vector<ColumnFilter> filters_;
 };
+
+/// One FilterValuesOp::ColumnFilter compiled against its column's
+/// encoding: the single value-set / range filter engine, shared by
+/// FilterValuesOp and the DataCube. Typed columns test raw
+/// codes/primitives with Value::Compare's semantics (an int64 cell
+/// equals a numerically equal double, -0.0 equals 0.0, NaN equals NaN);
+/// kGeneric and bool columns fall back to the Value path. Borrows the
+/// table's column and the filter's values, which must outlive it.
+class CompiledFilter {
+ public:
+  /// Compiles every constraining filter of `filters` against `table`.
+  /// Empty value lists ("nothing selected") are skipped; an unknown
+  /// column, or a range without exactly 2 bounds, is an error.
+  static Result<std::vector<CompiledFilter>> CompileAll(
+      const Table& table,
+      const std::vector<FilterValuesOp::ColumnFilter>& filters);
+
+  size_t column_index() const { return column_index_; }
+
+  /// Membership filter on a dictionary column: the one shape whose rows
+  /// are the union of code-addressed postings. `allowed_codes()[code]`
+  /// is the per-code verdict and `null_allowed()` that of null cells.
+  bool is_dict_set() const { return kind_ == Kind::kDictSet; }
+  const std::vector<uint8_t>& allowed_codes() const { return allowed_codes_; }
+  bool null_allowed() const { return null_allowed_; }
+
+  /// Per-row verdict, for narrowing an existing row selection.
+  bool Keep(size_t row) const;
+
+  /// One columnar AND pass over rows [begin, end) into `sel` (one byte
+  /// per row, non-zero = selected), with the kind dispatch hoisted out of
+  /// the row loop.
+  void ApplyColumnar(size_t begin, size_t end, uint8_t* sel) const;
+
+ private:
+  enum class Kind {
+    kGenericSet,    // Value hash-set membership (fallback)
+    kGenericRange,  // Value range compare (fallback)
+    kDictSet,       // membership via per-code bitmap
+    kDictRange,     // contiguous code range [lo_code, hi_code)
+    kInt64Set,
+    kInt64Range,
+    kDoubleSet,
+    kDoubleRange,
+  };
+
+  static CompiledFilter Compile(const ColumnData& column, size_t column_index,
+                                const FilterValuesOp::ColumnFilter& filter);
+
+  const ColumnData* column_ = nullptr;
+  size_t column_index_ = 0;
+  const FilterValuesOp::ColumnFilter* filter_ = nullptr;
+  Kind kind_ = Kind::kGenericSet;
+  // kGenericSet
+  std::unordered_set<Value, ValueHash> allowed_;
+  // kDictSet: allowed_codes_[code] != 0 keeps the row (padded for the
+  // AndCodeSet gather, see simd::kCodeSetPadding)
+  std::vector<uint8_t> allowed_codes_;
+  bool null_allowed_ = false;
+  // kDictRange
+  uint32_t lo_code_ = 0;
+  uint32_t hi_code_ = 0;
+  // kInt64Set / kDoubleSet (doubles as normalized bit patterns)
+  std::unordered_set<int64_t> allowed_ints_;
+  std::unordered_set<uint64_t> allowed_bits_;
+};
+
+/// Rows of `table` that pass every filter, ascending: per morsel, one
+/// columnar AND pass per filter over a selection mask, compressed back to
+/// row ids. Identical for any thread count or morsel size.
+Result<std::vector<size_t>> SelectRowsMatching(
+    const Table& table, const std::vector<CompiledFilter>& filters,
+    const ExecContext& ctx);
 
 /// Single-column comparison filter — the run-time form of one
 /// `/filter/<col>/<op>/<value>` segment of the REST path query language

@@ -44,11 +44,14 @@ JsonValue TableToJson(const Table& table, size_t limit, size_t offset) {
   JsonValue rows = JsonValue::MakeArray();
   size_t end = table.num_rows();
   if (limit > 0) end = std::min(end, offset + limit);
+  // Only the page's cells are read, straight from the typed columns:
+  // Table::at() would decode (and keep) whole columns of a large endpoint
+  // to render a few rows.
   for (size_t r = offset; r < end; ++r) {
     JsonValue row = JsonValue::MakeObject();
     for (size_t c = 0; c < table.num_columns(); ++c) {
       row.Set(table.schema().field(c).name,
-              JsonValue::FromValue(table.at(r, c)));
+              JsonValue::FromValue(table.typed_column(c).GetValue(r)));
     }
     rows.Append(std::move(row));
   }
@@ -1060,10 +1063,12 @@ HttpResponse ApiServer::HandleDatasets(Dashboard* dashboard,
   // groupby is exactly the cube's query shape, so serve it through the
   // endpoint's SharedScanBatcher — repeated queries answer from the
   // result cache and concurrent ones coalesce into shared scans. Only
-  // string literals lower: FilterCompareOp's eq uses Value::Compare
-  // (int 3 matches double 3.0) while cube membership uses hash equality,
-  // and the two agree only within one type. Any miss here falls through
-  // to the operator path below, which handles every shape.
+  // string literals lower: the cube keeps postings for dictionary
+  // (string) columns alone, so string equality is the one filter it
+  // answers faster than FilterCompareOp. (A null literal would also
+  // differ: cube membership matches null cells, FilterCompareOp never
+  // does.) Any miss here falls through to the operator path below, which
+  // handles every shape.
   if (segments.size() == next + 4 && segments[next] == "groupby") {
     bool cube_eligible = true;
     for (const ParsedFilter& filter : filters) {

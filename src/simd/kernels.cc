@@ -31,6 +31,19 @@ namespace simd {
 SI_SIMD_KERNEL_LIST(SI_SIMD_DISPATCH)
 #undef SI_SIMD_DISPATCH
 
+void HashPackedKeysBlock(const uint64_t* words, size_t stride, size_t n,
+                         uint64_t* out) {
+  RecordKernelDispatch();
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t* key = words + i * stride;
+    uint64_t h = 0x243f6a8885a308d3ULL;
+    for (size_t k = 0; k < stride; ++k) {
+      h ^= PackedKeyHashMix(key[k]) + 0x9e3779b9 + (h << 6) + (h >> 2);
+    }
+    out[i] = h;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Dense group-by accumulation: one shared implementation (see kernels.h
 // for why striping, not lanes, is the vectorization strategy here). The

@@ -88,12 +88,6 @@ namespace simd {
   /* out[i] = PackDoubleBits(v[i]): -0.0 -> +0.0, NaN -> canonical qNaN. */   \
   X(void, PackDoubleBitsBlock, (const double* v, uint64_t* out, size_t n),    \
     (v, out, n))                                                              \
-  /* out[i] = PackedKeyHash over words[i*stride .. i*stride+stride) —         \
-     bit-identical to the per-row splitmix64/boost-combine in                 \
-     ops/packed_key.h. */                                                     \
-  X(void, HashPackedKeysBlock,                                                \
-    (const uint64_t* words, size_t stride, size_t n, uint64_t* out),          \
-    (words, stride, n, out))                                                  \
   /* out[i] = nulls[i] ? null_code : codes[i] (group slot per row of the      \
      dense dict-code group-by). */                                            \
   X(void, GroupIndexes,                                                       \
@@ -113,6 +107,16 @@ inline uint64_t PackedKeyHashMix(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+/// out[i] = PackedKeyHash over words[i*stride .. i*stride+stride) —
+/// bit-identical to the per-row splitmix64/boost-combine in
+/// ops/packed_key.h. One implementation for every ISA: a 4-lane AVX2
+/// version (a gather per key word, 64-bit multiplies emulated from 32-bit
+/// partial products) benched ~1.4x slower than this scalar loop, which
+/// gets contiguous loads and a full-width imul. The win on this path is
+/// the batching (PackBlock + one hash pass per block).
+void HashPackedKeysBlock(const uint64_t* words, size_t stride, size_t n,
+                         uint64_t* out);
 
 // Per-ISA variants. Only SelectedIsa()-supported variants are ever
 // called; avx2/neon bodies are compiled only on their architecture.

@@ -7,9 +7,7 @@
 //  - null rows are blended to the constant null_keep verdict;
 //  - NaN cells fall out of the lt/eq IEEE compares onto the gt verdict
 //    (NaN orders after every number in Value::Compare's total order);
-//  - unsigned u32 compares are emulated by biasing the sign bit;
-//  - the 64-bit multiply of the splitmix64 mix is emulated with
-//    _mm256_mul_epu32 partial products (exact mod 2^64).
+//  - unsigned u32 compares are emulated by biasing the sign bit.
 // Every kernel finishes the sub-lane-width tail with the scalar variant.
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -337,19 +335,6 @@ void PackDoubleBitsBlock(const double* v, uint64_t* out, size_t n) {
                         _mm256_blendv_epi8(bits, canon_v, nan_m));
   }
   scalar::PackDoubleBitsBlock(v + i, out + i, n - i);
-}
-
-void HashPackedKeysBlock(const uint64_t* words, size_t stride, size_t n,
-                         uint64_t* out) {
-  // A 4-lane-per-row vector version (i64gather per key word + splitmix64
-  // via three 32-bit partial products per multiply) benches ~1.4x SLOWER than
-  // the scalar loop on AVX2 hosts: the gather's latency and the 64-bit
-  // multiply emulation cost more than four lanes recover, while scalar
-  // gets contiguous loads and a 1-cycle full imul. The win on this path
-  // comes from batching (PackBlock + one hash pass per block), so the
-  // dispatch keeps the scalar body. bench_simd's paired
-  // simd/hash_packed_keys{,_scalar} entries track this tradeoff.
-  scalar::HashPackedKeysBlock(words, stride, n, out);
 }
 
 void GroupIndexes(const uint32_t* codes, const uint8_t* nulls,

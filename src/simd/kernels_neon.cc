@@ -1,10 +1,10 @@
 // NEON kernel variants (aarch64 only; NEON is baseline there, no runtime
 // probe needed beyond the architecture itself). Compare kernels run 2
 // int64/double lanes or 4 code lanes per op; kernels whose win depends
-// on gathers or byte-mask movemasks (set membership, compress, the
-// packed-key hash) delegate to the scalar reference — aarch64 still gets
-// the columnar-pass structure and auto-vectorization, and stays
-// byte-identical by construction.
+// on gathers or byte-mask movemasks (set membership, compress) delegate
+// to the scalar reference — aarch64 still gets the columnar-pass
+// structure and auto-vectorization, and stays byte-identical by
+// construction.
 
 #if defined(__aarch64__)
 
@@ -223,11 +223,6 @@ void PackDoubleBitsBlock(const double* v, uint64_t* out, size_t n) {
     vst1q_u64(out + i, vbslq_u64(not_nan, bits, canon_v));
   }
   scalar::PackDoubleBitsBlock(v + i, out + i, n - i);
-}
-
-void HashPackedKeysBlock(const uint64_t* words, size_t stride, size_t n,
-                         uint64_t* out) {
-  scalar::HashPackedKeysBlock(words, stride, n, out);
 }
 
 void GroupIndexes(const uint32_t* codes, const uint8_t* nulls,

@@ -338,8 +338,16 @@ Status DurabilityManager::SnapshotDashboardLocked(
                            "': " + ec.message());
   }
 
+  DashState& state = dashes_[dashboard];
   std::map<std::string, std::string> live_files;  // file name -> object
   for (const auto& [object, table] : objects) {
+    const std::string file_name = FileStem(object) + ".snap";
+    live_files[file_name] = object;
+    auto held = state.snapshot_versions.find(file_name);
+    if (held != state.snapshot_versions.end() &&
+        held->second == table->version()) {
+      continue;  // that file already holds this exact table
+    }
     WalRecord record;
     record.type = WalRecord::Type::kPublish;
     record.object = object;
@@ -348,10 +356,9 @@ Status DurabilityManager::SnapshotDashboardLocked(
     record.table = table;
     std::string content(kSnapshotMagic, sizeof(kSnapshotMagic));
     AppendFramedRecord(record, &content);
-    const std::string file_name = FileStem(object) + ".snap";
     SI_RETURN_IF_ERROR(WriteFileAtomic(snap_dir + "/" + file_name, content,
                                        "snapshot.before_rename"));
-    live_files[file_name] = object;
+    state.snapshot_versions[file_name] = table->version();
     ++snapshots_written_;
     SnapshotsCounter()->Increment();
   }
@@ -359,7 +366,10 @@ Status DurabilityManager::SnapshotDashboardLocked(
   // Drop snapshots of objects that no longer exist, plus stray temp
   // files from an interrupted earlier snapshot.
   for (const std::string& name : ListFiles(snap_dir, ".snap")) {
-    if (live_files.count(name) == 0) fs::remove(snap_dir + "/" + name, ec);
+    if (live_files.count(name) == 0) {
+      fs::remove(snap_dir + "/" + name, ec);
+      state.snapshot_versions.erase(name);
+    }
   }
   for (const std::string& name : ListFiles(snap_dir, ".tmp")) {
     fs::remove(snap_dir + "/" + name, ec);
@@ -367,8 +377,7 @@ Status DurabilityManager::SnapshotDashboardLocked(
 
   // With every object safely snapshotted, the WAL can restart empty.
   MaybeCrashAtPoint("snapshot.before_truncate");
-  auto it = dashes_.find(dashboard);
-  if (it != dashes_.end()) it->second.writer.reset();  // close before replace
+  state.writer.reset();  // close before replace
   SI_RETURN_IF_ERROR(ResetWalFile(WalPath(dashboard), options_.retry));
   return Status::OK();
 }
@@ -445,6 +454,7 @@ Result<DurabilityManager::RecoveryReport> DurabilityManager::Recover(
         } else {
           WalRecord rec = std::move(**record);
           Table::RestampVersionForRecovery(rec.table, rec.version);
+          dashes_[dash.name].snapshot_versions[snap_file] = rec.version;
           dash.base_tables[rec.object] = rec.table;
           dash.objects[rec.object] = std::move(rec.table);
         }

@@ -114,7 +114,9 @@ class DurabilityManager {
 
   /// Writes a checksummed snapshot of every object (temp file + atomic
   /// rename each, stale snapshot files of vanished objects removed),
-  /// then truncates the dashboard's WAL. Failure marks the store
+  /// then truncates the dashboard's WAL. An object whose snapshot file
+  /// already holds its current version (written earlier by this manager
+  /// or read back by Recover) is not rewritten. Failure marks the store
   /// read-only and returns kUnavailable.
   Status SnapshotDashboard(const std::string& dashboard,
                            const std::map<std::string, TablePtr>& objects);
@@ -183,6 +185,8 @@ class DurabilityManager {
     std::unique_ptr<WalWriter> writer;
     std::chrono::steady_clock::time_point last_fsync{};
     bool synced_once = false;
+    // Snapshot file name -> the object version that file holds.
+    std::map<std::string, uint64_t> snapshot_versions;
   };
 
   std::string DashboardDirName(const std::string& dashboard) const;

@@ -4,6 +4,8 @@
 
 #include "datagen/datagen.h"
 #include "ops/filter.h"
+#include "ops/groupby.h"
+#include "table/append.h"
 
 namespace shareinsights {
 namespace {
@@ -131,7 +133,7 @@ TEST(DataCubeTest, BuildLeavesNoDecodedColumnView) {
   ASSERT_TRUE(cube.ok()) << cube.status();
   EXPECT_EQ(table->decoded_view_bytes(), 0u);
 
-  // The indexes still answer like the operator path.
+  // The columnar filters answer the query without a decode either.
   DataCube::Query query;
   query.filters.push_back({"id", {Value(static_cast<int64_t>(3))}, false});
   query.filters.push_back({"n", {Value::Null()}, false});
@@ -148,6 +150,54 @@ TEST(DataCubeTest, BuildLeavesNoDecodedColumnView) {
   EXPECT_EQ(table->decoded_view_bytes(), kRows * sizeof(Value));
 }
 
+// A streaming append reads dictionary codes only: the grown table (the
+// one the next readers query) must not gain decoded Value views of its
+// numeric columns.
+TEST(DataCubeTest, AppendLeavesNoDecodedColumnView) {
+  TableBuilder builder(Schema({Field{"key", ValueType::kString},
+                               Field{"id", ValueType::kInt64},
+                               Field{"score", ValueType::kDouble}}));
+  for (int r = 0; r < 600; ++r) {
+    ASSERT_TRUE(builder
+                    .AppendRow({Value("k" + std::to_string(r % 6)),
+                                Value(static_cast<int64_t>(r % 11)),
+                                Value(static_cast<double>(r % 13) / 2)})
+                    .ok());
+  }
+  TablePtr base = *builder.Finish();
+  auto cube = DataCube::Build(base);
+  ASSERT_TRUE(cube.ok()) << cube.status();
+  std::vector<std::vector<Value>> rows;
+  for (int r = 0; r < 100; ++r) {
+    rows.push_back({Value("k" + std::to_string(r % 8)),
+                    Value(static_cast<int64_t>(r)), Value(r * 0.25)});
+  }
+  TablePtr grown = *ConcatTables(base, *MakeAppendBatch(*base, rows));
+  ASSERT_EQ(grown->typed_column(1).encoding(), ColumnEncoding::kInt64);
+  ASSERT_EQ(grown->typed_column(2).encoding(), ColumnEncoding::kDouble);
+  auto appended = DataCube::Append(*cube, grown);
+  ASSERT_TRUE(appended.ok()) << appended.status();
+  EXPECT_EQ(grown->decoded_view_bytes(), 0u);
+  EXPECT_EQ((*appended)->num_indexed_columns(), 1u);  // only `key`
+
+  // Numeric membership answers without a decode, as the operator would.
+  DataCube::Query query;
+  query.filters.push_back({"key", {Value("k7"), Value("k1")}, false});
+  query.filters.push_back({"id", {Value(3.0), Value(int64_t{71})}, false});
+  auto out = (*appended)->Execute(query);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(grown->decoded_view_bytes(), 0u);
+  auto expected = FilterValuesOp(query.filters).Execute({grown});
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ((*out)->num_rows(), (*expected)->num_rows());
+  EXPECT_GT((*out)->num_rows(), 0u);
+  for (size_t r = 0; r < (*out)->num_rows(); ++r) {
+    for (size_t c = 0; c < (*out)->num_columns(); ++c) {
+      EXPECT_EQ((*out)->at(r, c), (*expected)->at(r, c));
+    }
+  }
+}
+
 // Property: cube answers match direct operator execution exactly.
 class CubeEquivalenceProperty
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -158,39 +208,44 @@ TEST_P(CubeEquivalenceProperty, MatchesOperatorPipeline) {
                                       static_cast<size_t>(groups),
                                       static_cast<uint64_t>(rows + groups));
   auto cube = *DataCube::Build(table);
+  std::vector<AggregateSpec> aggregates = {
+      AggregateSpec{"sum", "value", "total"},
+      AggregateSpec{"count", "value", "n"}};
 
-  DataCube::Query query;
-  query.filters.push_back(
-      {"key", {Value("group_0"), Value("group_2")}, false});
-  query.filters.push_back({"value",
-                           {Value(static_cast<int64_t>(100)),
-                            Value(static_cast<int64_t>(800))},
-                           true});
-  query.group_by = {"key"};
-  query.aggregates = {AggregateSpec{"sum", "value", "total"},
-                      AggregateSpec{"count", "value", "n"}};
-  auto via_cube = cube->Execute(query);
-  ASSERT_TRUE(via_cube.ok()) << via_cube.status();
-
-  // Same computation through the batch operators.
-  FilterValuesOp filter(
+  std::vector<std::vector<DataCube::Filter>> filter_sets = {
+      // Posted membership on `key`, narrowed by a range on `value`.
       {{"key", {Value("group_0"), Value("group_2")}, false},
        {"value",
         {Value(static_cast<int64_t>(100)), Value(static_cast<int64_t>(800))},
-        true}});
-  auto filtered = filter.Execute({table});
-  ASSERT_TRUE(filtered.ok());
-  auto groupby = GroupByOp::Create(
-      {"key"}, {AggregateSpec{"sum", "value", "total"},
-                AggregateSpec{"count", "value", "n"}});
-  auto via_ops = (*groupby)->Execute({*filtered});
-  ASSERT_TRUE(via_ops.ok());
+        true}},
+      // Numeric membership (no postings), with Value::Compare's
+      // cross-type equality: int64 cells match 250.0, never 500.5.
+      {{"value",
+        {Value(int64_t{7}), Value(250.0), Value(500.5), Value(int64_t{999}),
+         Value::Null()},
+        false}},
+  };
+  for (const std::vector<DataCube::Filter>& filters : filter_sets) {
+    DataCube::Query query;
+    query.filters = filters;
+    query.group_by = {"key"};
+    query.aggregates = aggregates;
+    auto via_cube = cube->Execute(query);
+    ASSERT_TRUE(via_cube.ok()) << via_cube.status();
 
-  ASSERT_EQ((*via_cube)->num_rows(), (*via_ops)->num_rows());
-  for (size_t r = 0; r < (*via_cube)->num_rows(); ++r) {
-    for (size_t c = 0; c < (*via_cube)->num_columns(); ++c) {
-      EXPECT_EQ((*via_cube)->at(r, c), (*via_ops)->at(r, c))
-          << "row " << r << " col " << c;
+    // Same computation through the batch operators.
+    auto filtered = FilterValuesOp(filters).Execute({table});
+    ASSERT_TRUE(filtered.ok());
+    auto via_ops =
+        (*GroupByOp::Create({"key"}, aggregates))->Execute({*filtered});
+    ASSERT_TRUE(via_ops.ok());
+
+    ASSERT_EQ((*via_cube)->num_rows(), (*via_ops)->num_rows());
+    for (size_t r = 0; r < (*via_cube)->num_rows(); ++r) {
+      for (size_t c = 0; c < (*via_cube)->num_columns(); ++c) {
+        EXPECT_EQ((*via_cube)->at(r, c), (*via_ops)->at(r, c))
+            << "row " << r << " col " << c;
+      }
     }
   }
 }

@@ -53,7 +53,7 @@ TEST(QueryFingerprintTest, StableAndSensitive) {
   EXPECT_EQ(QueryFingerprint(a), QueryFingerprint(b));
   EXPECT_NE(QueryFingerprint(a), 0u);
 
-  b.filters[0].values[0] = Value("group_2");
+  b.filters[0].allowed[0] = Value("group_2");
   EXPECT_NE(QueryFingerprint(a), QueryFingerprint(b));
 
   DataCube::Query c = GroupQuery("group_1");

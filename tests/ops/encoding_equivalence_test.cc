@@ -344,8 +344,8 @@ TEST_P(EncodingEquivalenceTest, LimitAndUnion) {
 
 // The cube path: build over typed vs generic storage, query through
 // membership, ranges, group-by, ordering and limit. `max_cardinality` 40
-// additionally forces the too-wide-dictionary scan fallback for every
-// string column (cat has 9 codes, word has 211).
+// additionally drops the postings of `word` (211 codes), so its filters
+// take the columnar path; `cat` (9 codes + null) keeps them.
 TEST_P(EncodingEquivalenceTest, CubeQueries) {
   for (size_t max_cardinality : {size_t{10000}, size_t{40}}) {
     auto typed_cube = DataCube::Build(typed_, max_cardinality);
@@ -376,6 +376,28 @@ TEST_P(EncodingEquivalenceTest, CubeQueries) {
     q.filters = {{"flag", {Value(true)}, false}};
     q.order_by = {SortKey{"score", true}, SortKey{"id", false}};
     q.limit = 25;
+    queries.push_back(q);
+    // Numeric membership (no postings: the compiled filters decide):
+    // an int64 column against a numerically equal double literal, a
+    // double column against an int literal, null, NaN and -0.0.
+    q = {};
+    q.filters = {{"id", {Value(3.0), Value(int64_t{17}), Value::Null()},
+                  false}};
+    queries.push_back(q);
+    q = {};
+    q.filters = {{"score", {Value(int64_t{64}), Value(std::nan("")),
+                            Value(-0.0), Value::Null()},
+                  false},
+                 {"cat", {Value("cat1"), Value("cat3"), Value::Null()},
+                  false}};
+    q.group_by = {"cat"};
+    q.aggregates = {AggregateSpec{"count", "", "n"}};
+    queries.push_back(q);
+    q = {};
+    q.filters = {{"id", {Value(int64_t{40}), Value(120.0), Value(0.5)},
+                  false},
+                 {"mixed", {Value(int64_t{7}), Value(7.0), Value("m2")},
+                  false}};
     queries.push_back(q);
     q = {};  // no filters: whole-table slice
     q.group_by = {"word"};

@@ -509,6 +509,43 @@ TEST_F(ResilienceTest, DeadlineExceededAnswers504Retryable) {
   EXPECT_EQ(server_.Get("/api/v1/dashboards").status, 200);
 }
 
+// A page renders from the typed columns: browsing 100 rows of a larger
+// endpoint must not decode (and keep) Value views of whole columns.
+TEST(ApiServerPageTest, BrowsePageLeavesNoDecodedColumnView) {
+  std::string csv = "category,name,price,weight\n";
+  for (int r = 0; r < 2000; ++r) {
+    csv += "c" + std::to_string(r % 7) + ",n" + std::to_string(r) + "," +
+           std::to_string(r % 50) + "," + std::to_string(r % 9) + ".5\n";
+  }
+  SimulatedRemoteStore::Get().Publish(kItemsUrl, csv);
+  SharedDataRegistry registry;
+  ApiServer server{&registry};
+  ASSERT_TRUE(server
+                  .CreateDashboard("shop",
+                                   "D:\n  items: [category, name, price, "
+                                   "weight]\nD.items:\n  source: "
+                                   "http://shop.test/items.csv\n  format: "
+                                   "csv\n  endpoint: true\n",
+                                   Dashboard::Options())
+                  .ok());
+  ASSERT_EQ(server.Post("/dashboards/shop/run", "").status, 200);
+  Result<Dashboard*> dashboard = server.GetDashboard("shop");
+  ASSERT_TRUE(dashboard.ok());
+  Result<TablePtr> items = (*dashboard)->store().Get("items");
+  ASSERT_TRUE(items.ok());
+  ASSERT_EQ((*items)->num_rows(), 2000u);
+  EXPECT_EQ((*items)->typed_column(2).encoding(), ColumnEncoding::kInt64);
+
+  HttpResponse page = server.Get("/api/v1/shop/ds/items?limit=100&offset=40");
+  ASSERT_EQ(page.status, 200);
+  Result<JsonValue> body = ParseJson(page.body);
+  ASSERT_TRUE(body.ok()) << body.status();
+  ASSERT_EQ(body->Find("rows")->array_items().size(), 100u);
+  EXPECT_EQ(body->Find("rows")->array_items()[0].Find("name")->string_value(),
+            "n40");
+  EXPECT_EQ((*items)->decoded_view_bytes(), 0u);
+}
+
 TEST(TableToJsonTest, RespectsLimitOffsetAndTypes) {
   TableBuilder builder(Schema({Field{"s", ValueType::kString},
                                Field{"n", ValueType::kInt64},

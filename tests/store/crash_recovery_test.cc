@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "io/connector.h"
 #include "io/json.h"
 #include "io/spill_file.h"
 #include "server/api_server.h"
@@ -368,6 +369,78 @@ TEST(CrashRecoveryTest, FirstAppendTornRecord) {
   // Crash inside the very first WAL frame: recovery must land exactly
   // on the run's snapshot state.
   RunScenario({"wal.mid_record", /*skip=*/0, kHugeWal, /*threads=*/1});
+}
+
+// A durable re-run over unchanged sources keeps every table (same
+// versions), so it must not rewrite snapshot files that already hold
+// them; a run over changed bytes still snapshots, and recovery remembers
+// what its snapshot files hold.
+TEST(DurableRerunTest, UnchangedRunsRewriteNoSnapshots) {
+  constexpr const char* kUrl = "http://durable.test/items.csv";
+  SimulatedRemoteStore::Get().Publish(
+      kUrl, "category,name,price\nfruit,apple,3\ntool,hammer,12\n");
+  const std::string flow = std::string(R"(
+D:
+  items: [category, name, price]
+D.items:
+  source: )") + kUrl + R"(
+  format: csv
+F:
+  D.by_category: D.items | T.agg
+D.by_category:
+  endpoint: true
+D.items:
+  endpoint: true
+T:
+  agg:
+    type: groupby
+    groupby: [category]
+    aggregates:
+      - operator: sum
+        apply_on: price
+        out_field: total
+)";
+  auto scratch = TempDirGuard::Create("", "si-rerun-test");
+  ASSERT_TRUE(scratch.ok()) << scratch.status();
+  const std::string store_dir = scratch->path() + "/store";
+
+  auto run = [](ApiServer* server, const std::string& expect_cache) {
+    HttpResponse response = server->Post("/api/v1/dashboards/shop/run", "");
+    EXPECT_EQ(response.status, 200) << response.body;
+    Result<JsonValue> body = ParseJson(response.body);
+    if (!body.ok() || body->Find("storage") == nullptr) {
+      ADD_FAILURE() << response.body;
+      return -1.0;
+    }
+    EXPECT_EQ(body->Find("cache")->string_value(), expect_cache);
+    return body->Find("storage")->Find("snapshots_written")->number_value();
+  };
+  {
+    SharedDataRegistry registry;
+    ApiServer server(&registry, DurableOptions(store_dir, kHugeWal));
+    ASSERT_TRUE(
+        server.CreateDashboard("shop", flow, Dashboard::Options()).ok());
+    const double first = run(&server, "miss");
+    EXPECT_EQ(first, 2);  // items + by_category
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(run(&server, "hit"), first);
+
+    SimulatedRemoteStore::Get().Publish(
+        kUrl, "category,name,price\nfruit,apple,5\ntool,hammer,12\n");
+    EXPECT_EQ(run(&server, "miss"), first + 2);
+  }
+
+  // Recovery reads both snapshots back and rewrites neither.
+  SharedDataRegistry registry;
+  ApiServer recovered(&registry, DurableOptions(store_dir, kHugeWal));
+  HttpResponse health = recovered.Get("/api/v1/health");
+  ASSERT_EQ(health.status, 200);
+  Result<JsonValue> health_body = ParseJson(health.body);
+  ASSERT_TRUE(health_body.ok());
+  EXPECT_EQ(health_body->Find("storage")->Find("snapshots_written")
+                ->number_value(),
+            0)
+      << health.body;
+  EXPECT_NE(RowsJson(&recovered, "items").find("5"), std::string::npos);
 }
 
 }  // namespace
